@@ -207,6 +207,97 @@ func TestStoreBufferForwarding(t *testing.T) {
 	}
 }
 
+// refStoreBuffer is the store buffer as an unbounded FIFO slice: the
+// reference the fixed ring must match push for push.
+type refStoreBuffer struct {
+	cap, drainLat      int
+	addrs, readyAt     []uint64
+	lastDrain, stalled uint64
+}
+
+func (r *refStoreBuffer) drain(now uint64, fill func(uint64)) {
+	for len(r.addrs) > 0 && r.readyAt[0] <= now {
+		fill(r.addrs[0])
+		r.addrs, r.readyAt = r.addrs[1:], r.readyAt[1:]
+	}
+}
+
+func (r *refStoreBuffer) push(addr, now uint64, fill func(uint64)) uint64 {
+	r.drain(now, fill)
+	var stall uint64
+	if len(r.addrs) >= r.cap {
+		stall = r.readyAt[0] - now
+		r.stalled += stall
+		now += stall
+		r.drain(now, fill)
+	}
+	at := now + uint64(r.drainLat)
+	if r.lastDrain+uint64(r.drainLat) > at {
+		at = r.lastDrain + uint64(r.drainLat)
+	}
+	r.lastDrain = at
+	r.addrs, r.readyAt = append(r.addrs, addr), append(r.readyAt, at)
+	return stall
+}
+
+func (r *refStoreBuffer) contains(addr, now uint64, fill func(uint64)) bool {
+	r.drain(now, fill)
+	for _, a := range r.addrs {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStoreBufferRingMatchesFIFO drives the ring through many wraparounds,
+// with bursts that fill it and stall commit, and checks drain order, stall
+// cycles, forwarding and occupancy against the reference FIFO.
+func TestStoreBufferRingMatchesFIFO(t *testing.T) {
+	for _, geom := range []struct{ n, lat int }{{1, 1}, {3, 2}, {16, 2}, {32, 4}} {
+		sb := NewStoreBuffer(geom.n, geom.lat)
+		ref := &refStoreBuffer{cap: geom.n, drainLat: geom.lat}
+		var got, want []uint64
+		fillGot := func(a uint64) { got = append(got, a) }
+		fillWant := func(a uint64) { want = append(want, a) }
+		rng := uint64(geom.n)*2654435761 + 1
+		now := uint64(0)
+		for i := 0; i < 5000; i++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			if rng>>60 == 0 {
+				now += rng >> 56 & 63 // occasional idle gap lets the ring empty
+			} else {
+				now += rng >> 62 // mostly bursts: the ring fills and stalls
+			}
+			addr := (rng >> 20 & 31) * 8
+			if s, w := sb.Push(addr, now, fillGot), ref.push(addr, now, fillWant); s != w {
+				t.Fatalf("n=%d push %d: stall %d, want %d", geom.n, i, s, w)
+			}
+			probe := (rng >> 40 & 31) * 8
+			if c, w := sb.Contains(probe, now+1, fillGot), ref.contains(probe, now+1, fillWant); c != w {
+				t.Fatalf("n=%d push %d: Contains(%#x) = %v, want %v", geom.n, i, probe, c, w)
+			}
+			if l := sb.Len(now + 1); l != len(ref.addrs) {
+				t.Fatalf("n=%d push %d: Len %d, want %d", geom.n, i, l, len(ref.addrs))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: drained %d stores, want %d", geom.n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: drain %d was %#x, want %#x", geom.n, i, got[i], want[i])
+			}
+		}
+		if sb.Stat.FullStalls != ref.stalled || sb.Stat.Stores != 5000 {
+			t.Fatalf("n=%d: stats %+v, want %d stall cycles over 5000 stores", geom.n, sb.Stat, ref.stalled)
+		}
+		if ref.stalled == 0 {
+			t.Fatalf("n=%d: workload never filled the buffer", geom.n)
+		}
+	}
+}
+
 func TestBusOccupancy(t *testing.T) {
 	b := NewBus("test", 4)
 	if got := b.Request(10); got != 10 {

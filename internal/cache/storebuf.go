@@ -7,11 +7,16 @@ package cache
 // core performs the address match; the buffer exposes Contains).
 type StoreBuffer struct {
 	cap       int
-	drainLat  int // cycles between successive drains
-	addrs     []uint64
-	readyAt   []uint64 // cycle at which each entry drains
+	drainLat  int       // cycles between successive drains
+	ents      []sbEntry // ring of cap entries, oldest at head
+	head, n   int
 	lastDrain uint64
 	Stat      StoreBufStats
+}
+
+// sbEntry is one buffered store: its address and the cycle it drains.
+type sbEntry struct {
+	addr, readyAt uint64
 }
 
 // StoreBufStats counts store-buffer events.
@@ -29,24 +34,33 @@ func NewStoreBuffer(n, drainLat int) *StoreBuffer {
 	if drainLat < 1 {
 		drainLat = 1
 	}
-	return &StoreBuffer{cap: n, drainLat: drainLat}
+	return &StoreBuffer{cap: n, drainLat: drainLat, ents: make([]sbEntry, n)}
 }
 
 // Cap returns the buffer capacity.
 func (sb *StoreBuffer) Cap() int { return sb.cap }
 
+// at returns the i-th oldest buffered store.
+func (sb *StoreBuffer) at(i int) *sbEntry {
+	i += sb.head
+	if i >= sb.cap {
+		i -= sb.cap
+	}
+	return &sb.ents[i]
+}
+
 // drain retires entries whose drain time has passed, invoking fill for each
 // drained store address.
 func (sb *StoreBuffer) drain(now uint64, fill func(addr uint64)) {
-	i := 0
-	for ; i < len(sb.addrs) && sb.readyAt[i] <= now; i++ {
+	for sb.n > 0 && sb.ents[sb.head].readyAt <= now {
 		if fill != nil {
-			fill(sb.addrs[i])
+			fill(sb.ents[sb.head].addr)
 		}
-	}
-	if i > 0 {
-		sb.addrs = sb.addrs[i:]
-		sb.readyAt = sb.readyAt[i:]
+		sb.head++
+		if sb.head == sb.cap {
+			sb.head = 0
+		}
+		sb.n--
 	}
 }
 
@@ -56,9 +70,9 @@ func (sb *StoreBuffer) drain(now uint64, fill func(addr uint64)) {
 func (sb *StoreBuffer) Push(addr uint64, now uint64, fill func(addr uint64)) (stall uint64) {
 	sb.Stat.Stores++
 	sb.drain(now, fill)
-	if len(sb.addrs) >= sb.cap {
+	if sb.n >= sb.cap {
 		// Stall until the head drains.
-		wait := sb.readyAt[0] - now
+		wait := sb.ents[sb.head].readyAt - now
 		sb.Stat.FullStalls += wait
 		now += wait
 		stall = wait
@@ -69,8 +83,8 @@ func (sb *StoreBuffer) Push(addr uint64, now uint64, fill func(addr uint64)) (st
 		drainAt = sb.lastDrain + uint64(sb.drainLat)
 	}
 	sb.lastDrain = drainAt
-	sb.addrs = append(sb.addrs, addr)
-	sb.readyAt = append(sb.readyAt, drainAt)
+	*sb.at(sb.n) = sbEntry{addr: addr, readyAt: drainAt}
+	sb.n++
 	return stall
 }
 
@@ -78,8 +92,8 @@ func (sb *StoreBuffer) Push(addr uint64, now uint64, fill func(addr uint64)) (st
 // for store-to-load forwarding. Matching is by 8-byte word.
 func (sb *StoreBuffer) Contains(addr uint64, now uint64, fill func(addr uint64)) bool {
 	sb.drain(now, fill)
-	for i := len(sb.addrs) - 1; i >= 0; i-- {
-		if sb.addrs[i] == addr {
+	for i := sb.n - 1; i >= 0; i-- {
+		if sb.at(i).addr == addr {
 			return true
 		}
 	}
@@ -89,13 +103,12 @@ func (sb *StoreBuffer) Contains(addr uint64, now uint64, fill func(addr uint64))
 // Len returns the current occupancy (after draining at cycle now).
 func (sb *StoreBuffer) Len(now uint64) int {
 	sb.drain(now, nil)
-	return len(sb.addrs)
+	return sb.n
 }
 
 // Reset clears the buffer and statistics.
 func (sb *StoreBuffer) Reset() {
-	sb.addrs = sb.addrs[:0]
-	sb.readyAt = sb.readyAt[:0]
+	sb.head, sb.n = 0, 0
 	sb.lastDrain = 0
 	sb.Stat = StoreBufStats{}
 }

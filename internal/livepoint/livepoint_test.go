@@ -16,6 +16,18 @@ import (
 // returns the design used plus the collected points (program order).
 func buildTestLibrary(t *testing.T, name string, scale float64, cfg uarch.Config, stride int, restricted bool) (*prog.Program, sampling.Design, []*LivePoint) {
 	t.Helper()
+	opts := CreateOpts{
+		MaxHier:    cfg.Hier,
+		Preds:      []bpred.Config{cfg.BP},
+		Restricted: restricted,
+	}
+	return buildTestLibraryOpts(t, name, scale, cfg.DetailedWarm, stride, opts)
+}
+
+// buildTestLibraryOpts is buildTestLibrary with explicit detailed-warming
+// length and creation options.
+func buildTestLibraryOpts(t *testing.T, name string, scale float64, warmLen, stride int, opts CreateOpts) (*prog.Program, sampling.Design, []*LivePoint) {
+	t.Helper()
 	spec, err := prog.ByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -25,14 +37,9 @@ func buildTestLibrary(t *testing.T, name string, scale float64, cfg uarch.Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	design, err := sampling.NewSystematic(benchLen, uarch.MeasureLen, uint64(cfg.DetailedWarm), stride, 1)
+	design, err := sampling.NewSystematic(benchLen, uarch.MeasureLen, uint64(warmLen), stride, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	opts := CreateOpts{
-		MaxHier:    cfg.Hier,
-		Preds:      []bpred.Config{cfg.BP},
-		Restricted: restricted,
 	}
 	var points []*LivePoint
 	err = Create(p, design, opts, func(lp *LivePoint) error {

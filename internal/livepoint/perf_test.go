@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"livepoints/internal/bpred"
 	"livepoints/internal/uarch"
 )
 
@@ -63,26 +64,35 @@ func TestDecodeIntoReuseRoundTrip(t *testing.T) {
 }
 
 // TestArenaSimulateBitEqual pins the arena contract: reusing hierarchy,
-// predictor, text, overlay, and CPU across points must be bit-identical to
-// building them fresh, including the restricted-live-state garbage fill.
+// predictor, text, overlay, CPU and core across points must be
+// bit-identical to building them fresh, including the restricted-live-state
+// garbage fill. Every call switches the arena to another configuration
+// (8-way, 16-way, 8-way with a 48-entry RUU), so each core reset changes
+// the RUU ring, fetch queue and functional-unit sizes.
 func TestArenaSimulateBitEqual(t *testing.T) {
-	cfg := uarch.Config8Way()
-	_, _, full := buildTestLibrary(t, "syn.gcc", 0.01, cfg, 30, false)
-	_, _, restricted := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 40, true)
+	c8, c16 := uarch.Config8Way(), uarch.Config16Way()
+	c48 := c8
+	c48.RUUSize = 48
+	opts := CreateOpts{MaxHier: c16.Hier, Preds: []bpred.Config{c8.BP, c16.BP}}
+	_, _, full := buildTestLibraryOpts(t, "syn.gcc", 0.01, c16.DetailedWarm, 40, opts)
+	opts.Restricted = true
+	_, _, restricted := buildTestLibraryOpts(t, "syn.gzip", 0.01, c16.DetailedWarm, 60, opts)
 	var arena SimArena
 	points := append(append([]*LivePoint{}, full...), restricted...)
 	for i, p := range points {
-		want, err := Simulate(p, cfg)
-		if err != nil {
-			t.Fatalf("point %d: %v", i, err)
-		}
-		got, err := arena.Simulate(p, cfg)
-		if err != nil {
-			t.Fatalf("point %d (arena): %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("point %d: arena CPI %.17g stats %+v != fresh CPI %.17g stats %+v",
-				i, got.UnitCPI, got.Stats, want.UnitCPI, want.Stats)
+		for _, cfg := range []uarch.Config{c8, c16, c48} {
+			want, err := Simulate(p, cfg)
+			if err != nil {
+				t.Fatalf("point %d %s: %v", i, cfg.Name, err)
+			}
+			got, err := arena.Simulate(p, cfg)
+			if err != nil {
+				t.Fatalf("point %d %s (arena): %v", i, cfg.Name, err)
+			}
+			if got != want {
+				t.Fatalf("point %d %s: arena CPI %.17g stats %+v != fresh CPI %.17g stats %+v",
+					i, cfg.Name, got.UnitCPI, got.Stats, want.UnitCPI, want.Stats)
+			}
 		}
 	}
 }

@@ -98,11 +98,12 @@ func Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult, error) {
 }
 
 // SimArena holds the reusable per-worker simulation state: a memory
-// hierarchy, a branch predictor, a text map, a copy-on-write overlay, and
-// a functional CPU. Reconstructing and simulating through an arena
-// produces bit-identical results to the allocating Reconstruct/Simulate
-// path — a structure reset to a configuration is indistinguishable from a
-// freshly built one — while reusing every backing array across points.
+// hierarchy, a branch predictor, a text map, a copy-on-write overlay, a
+// functional CPU and a detailed core. Reconstructing and simulating
+// through an arena produces bit-identical results to the allocating
+// Reconstruct/Simulate path — a structure reset to a configuration is
+// indistinguishable from a freshly built one — while reusing every
+// backing array across points.
 //
 // An arena serves one goroutine; runners keep one per worker. The zero
 // value is ready to use.
@@ -113,6 +114,7 @@ type SimArena struct {
 	overlay *mem.Overlay
 	cpu     *functional.CPU
 	warmer  warm.Warmer
+	core    uarch.Core
 }
 
 // Reconstruct is LivePoint.Reconstruct into the arena's hierarchy and
@@ -176,7 +178,7 @@ func (a *SimArena) Reconstruct(lp *LivePoint, cfg uarch.Config) (*cache.Hier, *b
 
 // Simulate is the arena-backed Simulate: identical semantics and
 // bit-identical results, with the per-point fixed allocations (text map,
-// overlay, hierarchy, predictor, functional CPU) reused across calls.
+// overlay, hierarchy, predictor, functional CPU, core) reused across calls.
 func (a *SimArena) Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult, error) {
 	if a.text == nil {
 		a.text = &textSource{insts: make(map[uint64]isa.Inst, 256)}
@@ -207,6 +209,6 @@ func (a *SimArena) Simulate(lp *LivePoint, cfg uarch.Config) (warm.WindowResult,
 		arch = a.cpu.State
 	}
 
-	core := uarch.NewCore(cfg, a.text, a.overlay, arch, hier, bp)
-	return warm.RunWindow(core, lp.WarmLen, lp.UnitLen)
+	a.core.Reset(cfg, a.text, a.overlay, arch, hier, bp)
+	return warm.RunWindow(&a.core, lp.WarmLen, lp.UnitLen)
 }

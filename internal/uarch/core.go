@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/cache"
@@ -48,12 +49,18 @@ type entry struct {
 	wrongPath    bool
 	unknownFetch bool
 
-	dep  [3]uint64
-	nDep int
-
 	issued    bool
 	completed bool
 	doneAt    uint64
+
+	// npend counts this entry's producers that have not completed; the
+	// entry is operand-ready when it reaches zero. nedge counts the wakeup
+	// edges it has taken from its slot's edge block. waiters heads the
+	// list of consumer edges waiting on this entry (edge index + 1; 0 is
+	// the empty list), newest first.
+	npend   uint8
+	nedge   uint8
+	waiters int32
 
 	isLoad   bool
 	isStore  bool
@@ -74,6 +81,15 @@ type entry struct {
 
 // badPC is the sentinel "unknown predicted target".
 const badPC = ^uint64(0)
+
+// edgesPerSlot is the number of wakeup edges one consumer can take: two
+// source registers and one forwarding store.
+const edgesPerSlot = 3
+
+// event is one scheduled completion: the entry issued as seq finishes at
+// doneAt. Events of squashed or recycled slots stay in the heap and are
+// dropped lazily when they reach its top.
+type event struct{ doneAt, seq uint64 }
 
 // fetchRec is one fetched instruction waiting in the fetch queue.
 type fetchRec struct {
@@ -107,17 +123,30 @@ type Core struct {
 	disp    functional.State
 	dispMem *mem.Overlay
 
+	// The RUU is a ring of a power-of-two number of slots, at least 64 and
+	// at least cfg.RUUSize; cfg.RUUSize alone bounds occupancy.
 	ruu       []entry
+	mask      uint64
 	headSeq   uint64
 	tailSeq   uint64
 	lsqCount  int
 	createVec [isa.NumRegs]int64
 
+	// Scheduler state. ready has one bit per RUU slot, set while the slot
+	// holds a valid, unissued, operand-ready entry. events is a min-heap
+	// on doneAt of issued entries. edgeNext links the wakeup edges:
+	// edgesPerSlot per RUU slot, each the next edge index + 1 (0 ends the
+	// list); an edge's consumer is its index / edgesPerSlot.
+	ready    []uint64
+	events   []event
+	edgeNext []int32
+
 	fetchPC       uint64
 	fetchReadyAt  uint64
 	fetchHold     bool
-	ifq           []fetchRec
+	ifq           []fetchRec // ring of cfg.IFQSize records
 	ifqHead       int
+	ifqLen        int
 	lastFetchLine uint64
 	specMode      bool
 
@@ -136,7 +165,33 @@ type Core struct {
 // transient cycle-domain state is reset; its cache/TLB contents are kept.
 func NewCore(cfg Config, text functional.TextSource, commitMem functional.MemRW,
 	arch functional.State, h *cache.Hier, bp *bpred.Predictor) *Core {
-	c := &Core{
+	c := new(Core)
+	c.Reset(cfg, text, commitMem, arch, h, bp)
+	return c
+}
+
+// Reset reinitializes c to the state NewCore would build from the same
+// arguments, reusing its RUU ring, scheduler, fetch queue, functional-unit
+// and dispatch-overlay storage where the sizes allow. A reset core is
+// indistinguishable from a fresh one.
+func (c *Core) Reset(cfg Config, text functional.TextSource, commitMem functional.MemRW,
+	arch functional.State, h *cache.Hier, bp *bpred.Predictor) {
+	ring := 64
+	for ring < cfg.RUUSize {
+		ring <<= 1
+	}
+	dispMem := c.dispMem
+	if dispMem == nil {
+		dispMem = mem.NewOverlay(commitMem)
+	} else {
+		dispMem.Rebind(commitMem)
+	}
+	fuBusy := c.fuBusy
+	fuBusy[isa.ClassIntALU] = resize(fuBusy[isa.ClassIntALU], cfg.IntALU)
+	fuBusy[isa.ClassIntMul] = resize(fuBusy[isa.ClassIntMul], cfg.IntMul)
+	fuBusy[isa.ClassFPALU] = resize(fuBusy[isa.ClassFPALU], cfg.FPALU)
+	fuBusy[isa.ClassFPMul] = resize(fuBusy[isa.ClassFPMul], cfg.FPMul)
+	*c = Core{
 		cfg:           cfg,
 		text:          text,
 		hier:          h,
@@ -144,21 +199,32 @@ func NewCore(cfg Config, text functional.TextSource, commitMem functional.MemRW,
 		commit:        arch,
 		commitMem:     commitMem,
 		disp:          arch,
-		dispMem:       mem.NewOverlay(commitMem),
-		ruu:           make([]entry, cfg.RUUSize),
+		dispMem:       dispMem,
+		ruu:           resize(c.ruu, ring),
+		mask:          uint64(ring - 1),
+		ready:         resize(c.ready, ring/64),
+		events:        c.events[:0],
+		edgeNext:      resize(c.edgeNext, ring*edgesPerSlot),
 		fetchPC:       arch.PC,
 		lastFetchLine: badPC,
-		ifq:           make([]fetchRec, 0, cfg.IFQSize),
+		ifq:           resize(c.ifq, cfg.IFQSize),
+		fuBusy:        fuBusy,
 	}
 	for i := range c.createVec {
 		c.createVec[i] = -1
 	}
-	c.fuBusy[isa.ClassIntALU] = make([]uint64, cfg.IntALU)
-	c.fuBusy[isa.ClassIntMul] = make([]uint64, cfg.IntMul)
-	c.fuBusy[isa.ClassFPALU] = make([]uint64, cfg.FPALU)
-	c.fuBusy[isa.ClassFPMul] = make([]uint64, cfg.FPMul)
 	h.ResetTransients()
-	return c
+}
+
+// resize returns s resliced to n zeroed elements, allocating only when its
+// capacity falls short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // CommittedState returns the committed architectural state.
@@ -170,24 +236,105 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 // Halted reports whether a correct-path halt instruction committed.
 func (c *Core) Halted() bool { return c.halted }
 
-func (c *Core) slot(seq uint64) *entry { return &c.ruu[seq%uint64(len(c.ruu))] }
+func (c *Core) slot(seq uint64) *entry { return &c.ruu[seq&c.mask] }
 
-// live reports whether the producer identified by seq is still in flight
-// and incomplete.
-func (c *Core) depPending(seq uint64) bool {
-	e := c.slot(seq)
-	return e.valid && e.seq == seq && !e.completed
+func (c *Core) setReady(i uint64)   { c.ready[i>>6] |= 1 << (i & 63) }
+func (c *Core) clearReady(i uint64) { c.ready[i>>6] &^= 1 << (i & 63) }
+
+// dependOn makes the consumer in RUU slot ci wait on producer seq when
+// that producer is still in flight and incomplete, linking a wakeup edge
+// onto the head of the producer's waiter list.
+func (c *Core) dependOn(seq, ci uint64) {
+	p := c.slot(seq)
+	if !p.valid || p.seq != seq || p.completed {
+		return
+	}
+	e := &c.ruu[ci]
+	edge := ci*edgesPerSlot + uint64(e.nedge)
+	e.nedge++
+	e.npend++
+	c.edgeNext[edge] = p.waiters
+	p.waiters = int32(edge + 1)
 }
+
+// complete marks p completed and wakes the consumers waiting on it.
+func (c *Core) complete(p *entry) {
+	p.completed = true
+	for w := p.waiters; w != 0; w = c.edgeNext[w-1] {
+		ci := uint64(w-1) / edgesPerSlot
+		e := &c.ruu[ci]
+		e.npend--
+		if e.npend == 0 {
+			c.setReady(ci)
+		}
+	}
+	p.waiters = 0
+}
+
+// inFlight reports whether ev still describes e: the entry it was
+// scheduled for, issued and not yet completed. Anything else is a stale
+// event of a squashed or recycled slot.
+func inFlight(e *entry, ev event) bool {
+	return e.valid && e.seq == ev.seq && e.issued && !e.completed && e.doneAt == ev.doneAt
+}
+
+func (c *Core) pushEvent(ev event) {
+	h := append(c.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].doneAt <= ev.doneAt {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+	c.events = h
+}
+
+func (c *Core) popEvent() {
+	h := c.events
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r].doneAt < h[l].doneAt {
+			l = r
+		}
+		if last.doneAt <= h[l].doneAt {
+			break
+		}
+		h[i] = h[l]
+		i = l
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	c.events = h
+}
+
+// noEventSkip disables skipToNextEvent so tests can step every cycle and
+// compare against the skipping run.
+var noEventSkip bool
 
 // Run simulates until n more instructions commit or the program halts,
 // returning the number committed during this call. The cycle counter and
 // all pipeline state carry over across calls, so warming and measurement
 // phases observe a continuously live pipeline.
 //
-// Cycles in which no pipeline stage can make progress (long memory stalls)
-// are skipped to the next scheduled event; the resulting timing is
-// identical to stepping cycle by cycle because every wake-up in the model
-// is time-driven.
+// Scheduling is event-driven: writeback pops due completions from a heap,
+// completions wake only their own consumers, and issue scans a bitmap of
+// ready entries, so no stage walks the whole RUU in the common case.
+// Cycles in which no stage can make progress (long memory stalls) are
+// skipped to the next scheduled event; the resulting timing is identical
+// to stepping cycle by cycle because every wake-up in the model is
+// time-driven.
 func (c *Core) Run(n uint64) uint64 {
 	target := c.Stat.Committed + n
 	for c.Stat.Committed < target && !c.halted {
@@ -200,7 +347,7 @@ func (c *Core) Run(n uint64) uint64 {
 		active += c.stageIssue()
 		active += c.stageDispatch()
 		active += c.stageFetch()
-		if active == 0 {
+		if active == 0 && !noEventSkip {
 			c.skipToNextEvent()
 		}
 		if c.cycle-c.lastCommitCycle > 1<<21 {
@@ -213,16 +360,18 @@ func (c *Core) Run(n uint64) uint64 {
 }
 
 // skipToNextEvent advances the cycle counter to just before the earliest
-// time-driven wake-up: an in-flight completion, the fetch restart time, or
-// a functional unit becoming free. Panics if the pipeline is provably
-// deadlocked (no pending event at all).
+// time-driven wake-up: the completion at the top of the event heap (after
+// dropping stale events), the fetch restart time, or a functional unit
+// becoming free. Panics if the pipeline is provably deadlocked (no pending
+// event at all).
 func (c *Core) skipToNextEvent() {
 	next := badPC
-	for s := c.headSeq; s != c.tailSeq; s++ {
-		e := c.slot(s)
-		if e.valid && e.issued && !e.completed && e.doneAt < next {
-			next = e.doneAt
+	for len(c.events) > 0 {
+		if ev := c.events[0]; inFlight(c.slot(ev.seq), ev) {
+			next = ev.doneAt
+			break
 		}
+		c.popEvent()
 	}
 	if !c.fetchHold && c.fetchReadyAt > c.cycle && c.fetchReadyAt < next {
 		next = c.fetchReadyAt
@@ -236,7 +385,7 @@ func (c *Core) skipToNextEvent() {
 	}
 	if next == badPC {
 		panic(fmt.Sprintf("uarch: pipeline deadlock at cycle %d (pc=%d, head=%d tail=%d, ifq=%d, hold=%v)",
-			c.cycle, c.commit.PC, c.headSeq, c.tailSeq, len(c.ifq)-c.ifqHead, c.fetchHold))
+			c.cycle, c.commit.PC, c.headSeq, c.tailSeq, c.ifqLen, c.fetchHold))
 	}
 	if next > c.cycle+1 {
 		c.cycle = next - 1
@@ -315,20 +464,26 @@ func (c *Core) retireHead(e *entry) {
 
 func (c *Core) stageWriteback() int {
 	done := 0
-	for s := c.headSeq; s != c.tailSeq; s++ {
-		e := c.slot(s)
-		if !e.valid || !e.issued || e.completed {
+	var br *entry
+	for len(c.events) > 0 && c.events[0].doneAt <= c.cycle {
+		ev := c.events[0]
+		c.popEvent()
+		e := c.slot(ev.seq)
+		if !inFlight(e, ev) {
 			continue
 		}
-		if e.doneAt > c.cycle {
-			continue
-		}
-		e.completed = true
+		c.complete(e)
 		done++
 		if e.doRecover {
-			c.recover(e)
-			return done // everything younger is gone
+			// At most one mispredicted correct-path branch is in flight:
+			// dispatch enters wrong-path mode at the first one.
+			br = e
 		}
+	}
+	if br != nil {
+		// Entries younger than br completed above are squashed here, as
+		// if they had never completed.
+		c.recover(br)
 	}
 	return done
 }
@@ -346,17 +501,27 @@ func (c *Core) recover(e *entry) {
 			}
 			y.valid = false
 		}
+		c.clearReady(s & c.mask)
 	}
 	c.tailSeq = e.seq + 1
 
-	// Rebuild the register rename view from surviving entries.
+	// Rebuild the register rename view from surviving entries, and drop
+	// squashed consumers from the surviving producers' waiter lists.
+	// Consumers are younger than their producers and lists are newest
+	// first, so the squashed ones form each list's head.
 	for i := range c.createVec {
 		c.createVec[i] = -1
 	}
 	for s := c.headSeq; s != c.tailSeq; s++ {
 		y := c.slot(s)
-		if y.valid && y.writesReg {
+		if !y.valid {
+			continue
+		}
+		if y.writesReg {
 			c.createVec[y.inst.Rd] = int64(y.seq)
+		}
+		for y.waiters != 0 && !c.ruu[uint64(y.waiters-1)/edgesPerSlot].valid {
+			y.waiters = c.edgeNext[y.waiters-1]
 		}
 	}
 
@@ -377,8 +542,8 @@ func (c *Core) recover(e *entry) {
 	c.fetchPC = e.actNext
 	c.fetchReadyAt = c.cycle + uint64(c.cfg.BranchPenalty)
 	c.fetchHold = false
-	c.ifq = c.ifq[:0]
 	c.ifqHead = 0
+	c.ifqLen = 0
 	c.lastFetchLine = badPC
 	c.specMode = false
 	e.doRecover = false
@@ -398,64 +563,65 @@ func (c *Core) rebuildDispatchMemory() {
 
 // --- Issue ------------------------------------------------------------------
 
+// stageIssue issues up to IssueWidth ready entries, oldest first: it walks
+// the ready bitmap in ring order from the head's slot, visiting the head's
+// word first for its bits at and above the head and last for those below.
 func (c *Core) stageIssue() int {
 	issued := 0
 	portsUsed := 0
-	for s := c.headSeq; s != c.tailSeq && issued < c.cfg.IssueWidth; s++ {
-		e := c.slot(s)
-		if !e.valid || e.issued {
-			continue
+	head := c.headSeq & c.mask
+	nw := uint64(len(c.ready))
+	for k := uint64(0); k <= nw && issued < c.cfg.IssueWidth; k++ {
+		wi := (head>>6 + k) & (nw - 1)
+		w := c.ready[wi]
+		switch k {
+		case 0:
+			w &= ^uint64(0) << (head & 63)
+		case nw:
+			w &= 1<<(head&63) - 1
 		}
-		ready := true
-		for i := 0; i < e.nDep; i++ {
-			if c.depPending(e.dep[i]) {
-				ready = false
-				break
-			}
-		}
-		if !ready {
-			continue
-		}
-		li := opLat[e.inst.Op]
-		switch {
-		case e.isLoad && e.fwdStore:
-			// Store-to-load forwarding: one cycle after data is ready.
-			e.issued = true
-			e.doneAt = c.cycle + 1
-		case e.isLoad:
-			if portsUsed >= c.cfg.MemPorts {
-				continue
-			}
-			portsUsed++
-			e.issued = true
-			e.doneAt = c.hier.Load(e.memAddr, c.cycle)
-		case e.isStore:
-			if portsUsed >= c.cfg.MemPorts {
-				continue
-			}
-			portsUsed++
-			e.issued = true
-			e.doneAt = c.hier.StoreAddr(e.memAddr, c.cycle)
-		case li.class == isa.ClassNone:
-			e.issued = true
-			e.doneAt = c.cycle + 1
-		default:
-			fu := c.fuBusy[li.class]
-			slot := -1
-			for i := range fu {
-				if fu[i] <= c.cycle {
-					slot = i
-					break
+		for ; w != 0 && issued < c.cfg.IssueWidth; w &= w - 1 {
+			i := wi<<6 | uint64(bits.TrailingZeros64(w))
+			e := &c.ruu[i]
+			li := opLat[e.inst.Op]
+			switch {
+			case e.isLoad && e.fwdStore:
+				// Store-to-load forwarding: one cycle after data is ready.
+				e.doneAt = c.cycle + 1
+			case e.isLoad:
+				if portsUsed >= c.cfg.MemPorts {
+					continue
 				}
+				portsUsed++
+				e.doneAt = c.hier.Load(e.memAddr, c.cycle)
+			case e.isStore:
+				if portsUsed >= c.cfg.MemPorts {
+					continue
+				}
+				portsUsed++
+				e.doneAt = c.hier.StoreAddr(e.memAddr, c.cycle)
+			case li.class == isa.ClassNone:
+				e.doneAt = c.cycle + 1
+			default:
+				fu := c.fuBusy[li.class]
+				slot := -1
+				for i := range fu {
+					if fu[i] <= c.cycle {
+						slot = i
+						break
+					}
+				}
+				if slot < 0 {
+					continue
+				}
+				fu[slot] = c.cycle + uint64(li.interval)
+				e.doneAt = c.cycle + uint64(li.latency)
 			}
-			if slot < 0 {
-				continue
-			}
-			fu[slot] = c.cycle + uint64(li.interval)
 			e.issued = true
-			e.doneAt = c.cycle + uint64(li.latency)
+			c.clearReady(i)
+			c.pushEvent(event{e.doneAt, e.seq})
+			issued++
 		}
-		issued++
 	}
 	return issued
 }
@@ -465,7 +631,7 @@ func (c *Core) stageIssue() int {
 func (c *Core) stageDispatch() int {
 	dispatched := 0
 	for n := 0; n < c.cfg.DecodeWidth; n++ {
-		if c.ifqHead >= len(c.ifq) {
+		if c.ifqLen == 0 {
 			return dispatched
 		}
 		rec := &c.ifq[c.ifqHead]
@@ -483,7 +649,8 @@ func (c *Core) stageDispatch() int {
 
 		seq := c.tailSeq
 		c.tailSeq++
-		e := c.slot(seq)
+		ci := seq & c.mask
+		e := &c.ruu[ci]
 		*e = entry{
 			seq:          seq,
 			valid:        true,
@@ -496,6 +663,10 @@ func (c *Core) stageDispatch() int {
 			bpSave:       rec.bpSave,
 		}
 		c.ifqHead++
+		if c.ifqHead == len(c.ifq) {
+			c.ifqHead = 0
+		}
+		c.ifqLen--
 		c.Stat.Dispatched++
 		if c.specMode {
 			c.Stat.WrongPathDisp++
@@ -507,9 +678,8 @@ func (c *Core) stageDispatch() int {
 			if r == isa.RegZero {
 				continue
 			}
-			if ps := c.createVec[r]; ps >= 0 && c.depPending(uint64(ps)) {
-				e.dep[e.nDep] = uint64(ps)
-				e.nDep++
+			if ps := c.createVec[r]; ps >= 0 {
+				c.dependOn(uint64(ps), ci)
 			}
 		}
 
@@ -539,10 +709,7 @@ func (c *Core) stageDispatch() int {
 					s--
 					y := c.slot(s)
 					if y.valid && y.isStore && y.memAddr == e.memAddr {
-						if !y.completed {
-							e.dep[e.nDep] = y.seq
-							e.nDep++
-						}
+						c.dependOn(y.seq, ci)
 						e.fwdStore = true
 						break
 					}
@@ -563,6 +730,9 @@ func (c *Core) stageDispatch() int {
 				c.specMode = true
 			}
 		}
+		if e.npend == 0 {
+			c.setReady(ci)
+		}
 	}
 	return dispatched
 }
@@ -574,14 +744,9 @@ func (c *Core) stageFetch() int {
 	if c.fetchHold || c.cycle < c.fetchReadyAt {
 		return 0
 	}
-	// Compact the fetch queue storage so it cannot grow without bound.
-	if c.ifqHead > 0 && (c.ifqHead == len(c.ifq) || c.ifqHead >= 2*c.cfg.IFQSize) {
-		c.ifq = append(c.ifq[:0], c.ifq[c.ifqHead:]...)
-		c.ifqHead = 0
-	}
 	condPreds := 0
 	lineBytes := uint64(c.cfg.Hier.L1I.LineBytes)
-	for n := 0; n < c.cfg.FetchWidth && len(c.ifq)-c.ifqHead < c.cfg.IFQSize; n++ {
+	for n := 0; n < c.cfg.FetchWidth && c.ifqLen < c.cfg.IFQSize; n++ {
 		addr := isa.PCToAddr(c.fetchPC)
 		line := addr / lineBytes
 		if line != c.lastFetchLine {
@@ -601,13 +766,13 @@ func (c *Core) stageFetch() int {
 			rec.unknown = true
 			rec.inst = isa.Inst{Op: isa.OpNop}
 			c.Stat.UnknownFetches++
-			c.ifq = append(c.ifq, rec)
+			c.pushFetch(rec)
 			fetched++
 			c.fetchPC++
 			continue
 		}
 		if in.Op == isa.OpHalt {
-			c.ifq = append(c.ifq, rec)
+			c.pushFetch(rec)
 			c.fetchHold = true
 			return fetched + 1
 		}
@@ -626,24 +791,35 @@ func (c *Core) stageFetch() int {
 					// No predicted target: fetch stalls until the branch
 					// resolves and recovery redirects.
 					rec.predNext = badPC
-					c.ifq = append(c.ifq, rec)
+					c.pushFetch(rec)
 					c.fetchHold = true
 					return fetched + 1
 				}
 				rec.predNext = isa.AddrToPC(tgtAddr)
-				c.ifq = append(c.ifq, rec)
+				c.pushFetch(rec)
 				c.fetchPC = rec.predNext
 				return fetched + 1 // taken-branch fetch break
 			}
 			rec.predNext = c.fetchPC + 1
-			c.ifq = append(c.ifq, rec)
+			c.pushFetch(rec)
 			fetched++
 			c.fetchPC++
 			continue
 		}
-		c.ifq = append(c.ifq, rec)
+		c.pushFetch(rec)
 		fetched++
 		c.fetchPC++
 	}
 	return fetched
+}
+
+// pushFetch appends rec to the fetch-queue ring; stageFetch never fills it
+// beyond cfg.IFQSize.
+func (c *Core) pushFetch(rec fetchRec) {
+	i := c.ifqHead + c.ifqLen
+	if i >= len(c.ifq) {
+		i -= len(c.ifq)
+	}
+	c.ifq[i] = rec
+	c.ifqLen++
 }

@@ -29,6 +29,14 @@ func newMicroCore(text []isa.Inst, cfg Config) *Core {
 	return NewCore(cfg, sliceText(text), m, functional.State{}, h, bp)
 }
 
+// warmText preloads the instruction cache and TLB with the program text,
+// so fetch runs at full width and the back end sets the pace.
+func warmText(c *Core, text []isa.Inst) {
+	for pc := range text {
+		c.hier.WarmFetch(isa.PCToAddr(uint64(pc)))
+	}
+}
+
 // TestDependenceChainSlowerThanILP checks the scheduler honours data
 // dependences: a serial chain of N adds must take ~N cycles while N
 // independent adds finish in ~N/width.
@@ -122,28 +130,129 @@ func TestStoreLoadForwarding(t *testing.T) {
 	}
 }
 
-// TestRUUBackpressure checks that a long-latency load eventually stalls
-// dispatch through RUU occupancy rather than deadlocking.
+// TestRUUBackpressure checks that a long-latency load stalls dispatch
+// through RUU occupancy rather than deadlocking, and that cfg.RUUSize, not
+// the power-of-two ring behind it, bounds occupancy.
 func TestRUUBackpressure(t *testing.T) {
+	for _, size := range []int{16, 48} {
+		cfg := Config8Way()
+		cfg.RUUSize = size
+		cfg.LSQSize = 8
+		text := []isa.Inst{
+			{Op: isa.OpLui, Rd: 1, Imm: 0x400000},
+			{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: 0}, // cold: TLB+L2+mem miss
+		}
+		// Dependent chain long enough to fill the RUU and its ring.
+		for i := 0; i < 128; i++ {
+			text = append(text, isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 3, Rs2: 2})
+		}
+		text = append(text, isa.Inst{Op: isa.OpHalt})
+		c := newMicroCore(text, cfg)
+		warmText(c, text)
+		var committed, peak uint64
+		for !c.Halted() {
+			committed += c.Run(1)
+			if occ := c.tailSeq - c.headSeq; occ > peak {
+				peak = occ
+			}
+		}
+		if committed != uint64(len(text)) {
+			t.Fatalf("RUU %d: committed %d of %d", size, committed, len(text))
+		}
+		if peak != uint64(size) {
+			t.Fatalf("RUU %d: peak occupancy %d, want %d", size, peak, size)
+		}
+	}
+}
+
+// TestRecoveryPrunesWakeupLists: a mispredicted branch resolves while a
+// cold load it does not depend on is still outstanding, and the wrong path
+// behind it is full of consumers of that load. Recovery squashes them and
+// the correct path reuses their RUU slots (and sequence numbers) for new
+// consumers of the same load. The squashed consumers must leave the load's
+// wakeup list, or its completion would follow edges the reused slots have
+// rewritten (looping forever) or wake those slots twice and wedge them.
+func TestRecoveryPrunesWakeupLists(t *testing.T) {
 	cfg := Config8Way()
-	cfg.RUUSize = 16
-	cfg.LSQSize = 8
 	text := []isa.Inst{
 		{Op: isa.OpLui, Rd: 1, Imm: 0x400000},
-		{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: 0}, // cold: TLB+L2+mem miss
+		{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: 0}, // cold: hundreds of cycles
+		// A short multiply chain delays the branch so a long wrong path
+		// dispatches before it resolves, yet it resolves long before the
+		// load returns.
+		{Op: isa.OpMul, Rd: 7, Rs1: 7, Rs2: 7},
+		{Op: isa.OpMul, Rd: 7, Rs1: 7, Rs2: 7},
+		{Op: isa.OpBeq, Rs1: 7, Rs2: 0, Imm: 0},    // taken; a cold predictor says not taken
+		{Op: isa.OpStore, Rs1: 1, Rs2: 2, Imm: 64}, // wrong path from here on
 	}
-	// Dependent chain long enough to fill the shrunken RUU.
-	for i := 0; i < 64; i++ {
-		text = append(text, isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 3, Rs2: 2})
+	for i := 0; i < 24; i++ {
+		text = append(text, isa.Inst{Op: isa.OpAdd, Rd: uint8(4 + i%4), Rs1: 2, Rs2: 2})
+	}
+	text = append(text, isa.Inst{Op: isa.OpLoad, Rd: 8, Rs1: 1, Imm: 64})
+	text[4].Imm = int64(len(text)) // branch target: the correct path
+	for i := 0; i < 24; i++ {
+		text = append(text, isa.Inst{Op: isa.OpAdd, Rd: uint8(9 + i%4), Rs1: uint8(9 + i%4), Rs2: 2})
 	}
 	text = append(text, isa.Inst{Op: isa.OpHalt})
+
 	c := newMicroCore(text, cfg)
-	committed := c.Run(1 << 20)
+	warmText(c, text)
+	c.Run(1 << 20)
 	if !c.Halted() {
 		t.Fatal("program did not finish")
 	}
-	if committed != uint64(len(text)) {
-		t.Fatalf("committed %d of %d", committed, len(text))
+	if c.Stat.Recoveries != 1 || c.Stat.WrongPathDisp < 24 {
+		t.Fatalf("scenario not exercised: %d recoveries, %d wrong-path dispatches", c.Stat.Recoveries, c.Stat.WrongPathDisp)
+	}
+	ref := functional.New(sliceText(text), mem.New())
+	if _, err := ref.RunToHalt(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if c.CommittedState().Regs != ref.Regs {
+		t.Fatal("committed state differs from the functional reference")
+	}
+}
+
+// TestStaleCompletionIgnored: a squashed wrong-path load leaves its
+// completion event behind, and recovery hands its sequence number to a
+// correct-path load that issues later and finishes later. An older load
+// still in flight keeps the stale event below the heap top until the new
+// load has issued. The stale event must not complete the new load early.
+// The oracle is the same program with a nop in that wrong-path slot: the
+// wrong-path load touches a page the correct path never uses, so timing
+// must not change.
+func TestStaleCompletionIgnored(t *testing.T) {
+	build := func(wrongPath isa.Inst) []isa.Inst {
+		return []isa.Inst{
+			{Op: isa.OpLui, Rd: 1, Imm: 0x400000},
+			{Op: isa.OpLui, Rd: 7, Imm: 1},
+			{Op: isa.OpLoad, Rd: 5, Rs1: 1, Imm: 0}, // survives recovery
+			// Three divides delay the branch well past the wrong-path
+			// load's issue.
+			{Op: isa.OpDiv, Rd: 7, Rs1: 7, Rs2: 7},
+			{Op: isa.OpDiv, Rd: 7, Rs1: 7, Rs2: 7},
+			{Op: isa.OpDiv, Rd: 7, Rs1: 7, Rs2: 7},
+			{Op: isa.OpBne, Rs1: 7, Rs2: 0, Imm: 9}, // taken; predicted not taken
+			wrongPath,
+			{Op: isa.OpHalt},
+			{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: 1 << 20}, // correct path: a fresh page
+			{Op: isa.OpAdd, Rd: 3, Rs1: 2, Rs2: 2},
+			{Op: isa.OpHalt},
+		}
+	}
+	cycles := func(text []isa.Inst) uint64 {
+		c := newMicroCore(text, Config8Way())
+		warmText(c, text)
+		c.Run(1 << 20)
+		if !c.Halted() || c.Stat.Recoveries != 1 {
+			t.Fatalf("scenario not exercised: halted=%v recoveries=%d", c.Halted(), c.Stat.Recoveries)
+		}
+		return c.Stat.Cycles
+	}
+	withLoad := cycles(build(isa.Inst{Op: isa.OpLoad, Rd: 4, Rs1: 1, Imm: 1 << 24}))
+	withNop := cycles(build(isa.Inst{Op: isa.OpNop}))
+	if withLoad != withNop {
+		t.Fatalf("a squashed wrong-path load moved correct-path timing: %d cycles vs %d with a nop", withLoad, withNop)
 	}
 }
 
@@ -216,33 +325,42 @@ func loopProgram(biased bool) []isa.Inst {
 	return a
 }
 
-// TestEventSkipEquivalence checks the cycle-skipping fast path produces the
-// same timing as it would without skips, by comparing a memory-stall-heavy
-// run against itself (determinism) and checking committed state.
+// TestEventSkipEquivalence checks the cycle-skipping fast path: jumping
+// over idle cycles to the next event must give exactly the statistics of
+// stepping every cycle, on a memory-stall-heavy program and on a branchy
+// program whose squashed wrong paths leave stale completion events behind.
 func TestEventSkipEquivalence(t *testing.T) {
-	cfg := Config8Way()
-	text := []isa.Inst{
+	stalls := []isa.Inst{
 		{Op: isa.OpLui, Rd: 1, Imm: 0x2000000},
 	}
 	// Pointer-chase-like serial loads to fresh pages: maximal stalls.
 	for i := 0; i < 32; i++ {
-		text = append(text, isa.Inst{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: int64(i) * 8192})
-		text = append(text, isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 3, Rs2: 2})
+		stalls = append(stalls, isa.Inst{Op: isa.OpLoad, Rd: 2, Rs1: 1, Imm: int64(i) * 8192})
+		stalls = append(stalls, isa.Inst{Op: isa.OpAdd, Rd: 3, Rs1: 3, Rs2: 2})
 	}
-	text = append(text, isa.Inst{Op: isa.OpHalt})
+	stalls = append(stalls, isa.Inst{Op: isa.OpHalt})
 
-	c1 := newMicroCore(text, cfg)
-	c1.Run(1 << 22)
-	c2 := newMicroCore(text, cfg)
-	c2.Run(1 << 22)
-	if c1.Stat.Cycles != c2.Stat.Cycles {
-		t.Fatalf("non-deterministic stall timing: %d vs %d", c1.Stat.Cycles, c2.Stat.Cycles)
+	run := func(text []isa.Inst, step bool) *Core {
+		noEventSkip = step
+		defer func() { noEventSkip = false }()
+		c := newMicroCore(text, Config8Way())
+		c.Run(1 << 22)
+		return c
 	}
-	ref := functional.New(sliceText(text), mem.New())
-	if _, err := ref.RunToHalt(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if c1.CommittedState().Regs != ref.Regs {
-		t.Fatal("stall-heavy program committed wrong state")
+	for _, tc := range []struct {
+		name string
+		text []isa.Inst
+	}{{"stalls", stalls}, {"wrong-path", loopProgram(false)}} {
+		skipped, stepped := run(tc.text, false), run(tc.text, true)
+		if skipped.Stat != stepped.Stat {
+			t.Fatalf("%s: skipping %+v != stepping %+v", tc.name, skipped.Stat, stepped.Stat)
+		}
+		ref := functional.New(sliceText(tc.text), mem.New())
+		if _, err := ref.RunToHalt(1 << 22); err != nil {
+			t.Fatal(err)
+		}
+		if skipped.CommittedState().Regs != ref.Regs {
+			t.Fatalf("%s: committed wrong state", tc.name)
+		}
 	}
 }
