@@ -604,17 +604,17 @@ func (c *Core) stageIssue() int {
 				e.doneAt = c.cycle + 1
 			default:
 				fu := c.fuBusy[li.class]
-				slot := -1
-				for i := range fu {
-					if fu[i] <= c.cycle {
-						slot = i
+				unit := -1
+				for u := range fu {
+					if fu[u] <= c.cycle {
+						unit = u
 						break
 					}
 				}
-				if slot < 0 {
+				if unit < 0 {
 					continue
 				}
-				fu[slot] = c.cycle + uint64(li.interval)
+				fu[unit] = c.cycle + uint64(li.interval)
 				e.doneAt = c.cycle + uint64(li.latency)
 			}
 			e.issued = true
