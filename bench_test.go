@@ -455,20 +455,11 @@ func BenchmarkStoreRandomAccess(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreShuffle compares reshuffling cost: v1 ShuffleFile
-// decompresses, permutes, and recompresses the whole library; v2 Shuffle
-// rewrites only the footer index.
+// BenchmarkStoreShuffle times v2 reshuffling, which rewrites only the
+// footer index and never touches point data.
 func BenchmarkStoreShuffle(b *testing.B) {
-	v1, v2, _ := storeBenchSetup(b)
+	_, v2, _ := storeBenchSetup(b)
 	dir := b.TempDir()
-	b.Run("v1-rewrite", func(b *testing.B) {
-		dst := filepath.Join(dir, "shuffled.lplib")
-		for i := 0; i < b.N; i++ {
-			if err := livepoint.ShuffleFile(v1, dst, int64(i)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("v2-index-only", func(b *testing.B) {
 		// Shuffle in place on a scratch copy so v2 stays pristine.
 		raw, err := os.ReadFile(v2)

@@ -532,7 +532,3 @@ func (r *Figure8Result) String() string {
 	}
 	return b.String()
 }
-
-func gzipLen(b []byte) int {
-	return gzipCompressLen(b)
-}

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,6 +23,7 @@ import (
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/livepoint"
+	"livepoints/internal/lpstore"
 	"livepoints/internal/mrrl"
 	"livepoints/internal/prog"
 	"livepoints/internal/sampling"
@@ -360,7 +362,6 @@ func (c *Context) EnsureLibrary(name string, cfg uarch.Config, preds []bpred.Con
 		return info, err
 	}
 	base := fmt.Sprintf("%s-s%.3f-%s-%s-o%d", name, c.Scale, cfg.Name, kind, offset)
-	rawPath := filepath.Join(c.OutDir, base+".raw.lplib")
 	path := filepath.Join(c.OutDir, base+".lplib")
 
 	c.logf("library: creating %d %s live-points for %s (%s, offset %d)...",
@@ -375,26 +376,20 @@ func (c *Context) EnsureLibrary(name string, cfg uarch.Config, preds []bpred.Con
 	if err != nil {
 		return info, err
 	}
-	meta := livepoint.Meta{Benchmark: name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	uncompressed, err := livepoint.WriteLibrary(rawPath, meta, blobs)
-	if err != nil {
-		return info, err
-	}
-	if err := livepoint.ShuffleFile(rawPath, path, 0x5EED+int64(offset)); err != nil {
-		return info, err
-	}
-	if err := os.Remove(rawPath); err != nil {
-		return info, err
-	}
-	size, err := livepoint.FileSize(path)
+	// Shuffle once at creation (§6.1) with the library's own seed, so
+	// every read-order prefix is an unbiased sample.
+	rng := rand.New(rand.NewSource(0x5EED + int64(offset)))
+	rng.Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
+	meta := livepoint.Meta{Benchmark: name, UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	stored, err := lpstore.Write(path, meta, blobs, lpstore.WriteOpts{})
 	if err != nil {
 		return info, err
 	}
 	info = LibraryInfo{
 		Path:              path,
-		Points:            len(blobs),
-		CompressedBytes:   size,
-		UncompressedBytes: uncompressed,
+		Points:            stored.Points,
+		CompressedBytes:   stored.CompressedBytes,
+		UncompressedBytes: stored.UncompressedBytes,
 		CreateSeconds:     time.Since(t0).Seconds(),
 	}
 	return info, c.store(key, info)

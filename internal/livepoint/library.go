@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"livepoints/internal/asn1der"
@@ -291,21 +290,6 @@ func ReadAllBlobs(path string) (Meta, [][]byte, error) {
 		return r.Meta, nil, err
 	}
 	return r.Meta, blobs, nil
-}
-
-// ShuffleFile rewrites a library in deterministic pseudo-random order
-// (§6.1): once shuffled, any prefix of the file is an unbiased random
-// sub-sample, enabling online confidence reporting.
-func ShuffleFile(src, dst string, seed int64) error {
-	meta, blobs, err := ReadAllBlobs(src)
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
-	meta.Shuffled = true
-	_, err = WriteLibrary(dst, meta, blobs)
-	return err
 }
 
 // FileSize returns a file's on-disk (compressed) size.

@@ -2,6 +2,7 @@ package livepoint
 
 import (
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -53,6 +54,19 @@ func buildTestLibraryOpts(t *testing.T, name string, scale float64, warmLen, str
 		t.Fatalf("created %d points, want %d", len(points), design.Units())
 	}
 	return p, design, points
+}
+
+// writeShuffled writes a shuffled v1 library fixture: blobs permuted in
+// memory with a seeded generator, then stored with Shuffled set.
+func writeShuffled(t *testing.T, path string, meta Meta, blobs [][]byte, seed int64) {
+	t.Helper()
+	blobs = append([][]byte(nil), blobs...)
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
+	meta.Shuffled = true
+	if _, err := WriteLibrary(path, meta, blobs); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestLivePointMatchesSMARTS is the paper's headline accuracy claim:
@@ -184,9 +198,7 @@ func TestLibraryWriteReadShuffle(t *testing.T) {
 	if _, err := WriteLibrary(raw, meta, blobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ShuffleFile(raw, shuffled, 42); err != nil {
-		t.Fatal(err)
-	}
+	writeShuffled(t, shuffled, meta, blobs, 42)
 
 	gotMeta, gotBlobs, err := ReadAllBlobs(shuffled)
 	if err != nil {
@@ -241,9 +253,7 @@ func TestRunFileOnlineStopsEarly(t *testing.T) {
 	if _, err := WriteLibrary(raw, meta, blobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ShuffleFile(raw, shuffled, 7); err != nil {
-		t.Fatal(err)
-	}
+	writeShuffled(t, shuffled, meta, blobs, 7)
 
 	// Early stopping on the unshuffled library must be refused.
 	if _, err := RunFile(raw, RunOpts{Cfg: cfg, Z: sampling.Z997, RelErr: 0.10}); err == nil {

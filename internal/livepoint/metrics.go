@@ -14,8 +14,6 @@ var (
 	mBufioPoolMisses = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "bufio")
 	mPointPoolHits   = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "livepoint")
 	mPointPoolMisses = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "livepoint")
-	mBlobPoolHits    = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "blob")
-	mBlobPoolMisses  = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "blob")
 
 	mDecodedBytes = obs.Default.Counter("livepoint_decoded_bytes_total", "Encoded live-point bytes decoded into LivePoints.")
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"livepoints/internal/bpred"
+	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
 )
 
@@ -145,13 +146,36 @@ func TestSerialEstimateMatchesSimBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bres, err := SimBlobs(blobs, cfg)
+	_, _, bres, err := SimBlobs(blobs, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Est.Mean() != bres.Est.Mean() || serial.Processed != bres.Processed {
 		t.Fatalf("serial mean %.17g (n=%d) != SimBlobs mean %.17g (n=%d)",
 			serial.Est.Mean(), serial.Processed, bres.Est.Mean(), bres.Processed)
+	}
+
+	// Matched pairs: the serial matched runner and the lease kernel must
+	// fold the same paired CPIs in the same order.
+	exp := cfg
+	exp.RUUSize = 48
+	matched, err := RunMatchedFile(path, MatchedOpts{Base: cfg, Exp: exp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseCPIs, expCPIs, _, err := SimBlobs(blobs, cfg, &exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mp sampling.MatchedPair
+	for i := range baseCPIs {
+		mp.Add(baseCPIs[i], expCPIs[i])
+	}
+	if matched.Processed != len(blobs) || len(expCPIs) != len(blobs) || matched.MP != mp {
+		t.Fatalf("matched run (n=%d) %+v != lease kernel (n=%d) %+v", matched.Processed, matched.MP, len(expCPIs), mp)
+	}
+	if mp.Delta.Mean() == 0 {
+		t.Fatal("RUU-48 pair left every CPI unchanged; the matched case compares nothing")
 	}
 }
 

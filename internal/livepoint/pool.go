@@ -81,32 +81,3 @@ func releaseLivePoint(lp *LivePoint) {
 		livePoints.Put(lp)
 	}
 }
-
-// blobBufs holds *[]byte (a pointer, so Put/Get never box a slice header
-// on the heap). Undersized buffers are regrown in place, converging the
-// pool on the library's largest blob.
-var blobBufs sync.Pool
-
-// acquireBlobBuf returns a buffer of length n, reusing pooled capacity.
-func acquireBlobBuf(n int) *[]byte {
-	if v := blobBufs.Get(); v != nil {
-		pb := v.(*[]byte)
-		if cap(*pb) >= n {
-			mBlobPoolHits.Inc()
-			*pb = (*pb)[:n]
-			return pb
-		}
-		mBlobPoolMisses.Inc()
-		*pb = make([]byte, n)
-		return pb
-	}
-	mBlobPoolMisses.Inc()
-	b := make([]byte, n)
-	return &b
-}
-
-func releaseBlobBuf(pb *[]byte) {
-	if pb != nil {
-		blobBufs.Put(pb)
-	}
-}

@@ -1,6 +1,7 @@
 package livepoint
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -63,6 +64,10 @@ func (r *RunResult) fold(wr warm.WindowResult, online *sampling.OnlineEstimator)
 	return online.Add(wr.UnitCPI)
 }
 
+// errUnshuffled refuses early stopping on a library stored in program
+// order: only a prefix of a shuffled library is an unbiased sample (§6.1).
+var errUnshuffled = errors.New("livepoint: early stopping requires a shuffled library (create it shuffled, or reshuffle a v2 store with lpstore.Shuffle)")
+
 // RunFile runs a sampling experiment over a library file, auto-detecting
 // the format (sequential v1 stream or sharded v2 store). Points are
 // processed in read order; on a shuffled library this realizes the paper's
@@ -81,7 +86,7 @@ func RunFile(path string, opts RunOpts) (*RunResult, error) {
 // file, a sharded store, or a remote serving client. Whole-library
 // parallel runs pull from independent shards when the source exposes
 // them; truncated runs (a stopping rule or point cap) stay on the
-// read-order feeder, because draining whole shards processes physically
+// read-order stream, because draining whole shards processes physically
 // consecutive points together — on an index-reshuffled store those are
 // correlated, and stopping early on such a prefix would bias the
 // estimate.
@@ -90,403 +95,48 @@ func RunSource(src Source, opts RunOpts) (*RunResult, error) {
 		opts.Z = sampling.Z997
 	}
 	if opts.RelErr > 0 && !src.Meta().Shuffled {
-		return nil, fmt.Errorf("livepoint: early stopping requires a shuffled library (ShuffleFile for v1 files, lpstore.Shuffle for v2 stores)")
+		return nil, errUnshuffled
 	}
-	if opts.Parallel > 1 {
-		wholeLibrary := opts.RelErr <= 0 && opts.MaxPoints <= 0
-		if ss, ok := src.(ShardedSource); ok && ss.NumShards() > 1 && wholeLibrary {
-			return runSharded(ss, opts)
-		}
-		return runParallel(src, opts)
-	}
-	return runSerial(src, opts)
-}
-
-func runSerial(src Source, opts RunOpts) (*RunResult, error) {
 	res := &RunResult{}
 	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
-	var lp LivePoint
-	var arena SimArena
-	for {
-		if opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints {
-			break
-		}
-		t0 := time.Now()
-		blob, err := src.NextBlob()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		wr, err := arena.Simulate(&lp, opts.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("livepoint: point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-
-		if res.fold(wr, online) && opts.RelErr > 0 {
-			break
-		}
+	wholeLibrary := opts.RelErr <= 0 && opts.MaxPoints <= 0
+	var err error
+	res.LoadTime, res.SimTime, err = pipeline(src, kernel{base: opts.Cfg}, opts.Parallel, opts.MaxPoints, wholeLibrary,
+		func(p simulated) bool { return res.fold(p.base, online) && opts.RelErr > 0 })
+	if err != nil {
+		return nil, err
 	}
 	res.Est = *online.Estimate()
 	res.History = online.History()
 	return res, nil
 }
 
-// simOut carries one worker's simulation result to the folding loop.
-type simOut struct {
-	wr  warm.WindowResult
-	err error
-}
-
-// collectOuts folds worker results into the estimate in completion order
-// until outs closes. stop is invoked exactly once: when the stopping rule
-// first fires (relErr > 0), on the first worker error (fail-fast — the
-// feeder must not decode and simulate the rest of the library just to
-// report an error that has already happened), or after the channel
-// drains. It returns the first worker error.
-func collectOuts(outs <-chan simOut, res *RunResult, online *sampling.OnlineEstimator, relErr float64, stop func()) error {
-	var firstErr error
-	stopped := false
-	for out := range outs {
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = out.err
-				if !stopped {
-					stopped = true
-					stop()
-				}
-			}
-			continue
-		}
-		if res.fold(out.wr, online) && relErr > 0 && !stopped {
-			stopped = true
-			stop()
-		}
-	}
-	if !stopped {
-		stop()
-	}
-	return firstErr
-}
-
-// decodeAhead returns the bound on decoded points buffered ahead of the
-// simulation workers: deep enough to ride out per-point sim-time variance,
-// shallow enough to cap fail-fast overshoot and resident LivePoints.
-func decodeAhead(parallel int) int { return 2 * parallel }
-
-// simWorkers starts the simulation stage: parallel goroutines, each with
-// its own SimArena, draining decoded points from lpc into outs. It
-// returns a channel that closes when the stage has drained.
-func simWorkers(lpc <-chan *LivePoint, outs chan<- simOut, parallel int, cfg uarch.Config, simNS *atomic.Int64) <-chan struct{} {
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arena SimArena
-			for lp := range lpc {
-				t0 := time.Now()
-				wr, err := arena.Simulate(lp, cfg)
-				simNS.Add(int64(time.Since(t0)))
-				if err != nil {
-					err = fmt.Errorf("livepoint: point %d: %w", lp.Index, err)
-				}
-				releaseLivePoint(lp)
-				outs <- simOut{wr: wr, err: err}
-			}
-		}()
-	}
-	simDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(simDone)
-	}()
-	return simDone
-}
-
-// runParallel fans simulation out over worker goroutines — the paper's
-// parallel live-point processing (§6) — as a three-stage pipeline:
-//
-//	feeder (stream reads) → decoders (DecodeInto pooled points) → sim workers
-//
-// The decode stage runs ahead of simulation through the bounded lpc
-// channel, so stream I/O and decompression overlap detailed simulation
-// instead of serializing with it. Blobs are copied into pooled buffers
-// before crossing the first channel — Source.NextBlob's return is only
-// valid until the next call. The estimate folds results in completion
-// order, which is still an unbiased sample of a shuffled library; unlike
-// serial runs the exact stopping point is scheduling-dependent.
-func runParallel(src Source, opts RunOpts) (*RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
-
-	// Load/sim split, summed across all stages — the same accounting the
-	// serial path reports (stream reads and decode are load, detailed
-	// simulation is sim), never wall-clock.
-	var loadNS, simNS atomic.Int64
-
-	blobc := make(chan *[]byte, opts.Parallel)
-	lpc := make(chan *LivePoint, decodeAhead(opts.Parallel))
-	outs := make(chan simOut, opts.Parallel)
-
-	// Decode stage: a single stream feeds it, so half the sim width keeps
-	// the pipeline full while decode stays the cheap stage.
-	var dwg sync.WaitGroup
-	for w := 0; w < (opts.Parallel+1)/2; w++ {
-		dwg.Add(1)
-		go func() {
-			defer dwg.Done()
-			for pb := range blobc {
-				t0 := time.Now()
-				lp := acquireLivePoint()
-				err := DecodeInto(lp, *pb)
-				mDecodedBytes.Add(uint64(len(*pb)))
-				releaseBlobBuf(pb)
-				loadNS.Add(int64(time.Since(t0)))
-				if err != nil {
-					releaseLivePoint(lp)
-					outs <- simOut{err: err}
-					continue
-				}
-				lpc <- lp
-				mDecodeAheadDepth.Set(float64(len(lpc)))
-			}
-		}()
-	}
-	simDone := simWorkers(lpc, outs, opts.Parallel, opts.Cfg, &simNS)
-
-	done := make(chan struct{})
-	var feedErr error
-	go func() {
-		defer close(blobc)
-		sent := 0
-		for {
-			if opts.MaxPoints > 0 && sent >= opts.MaxPoints {
-				return
-			}
-			t0 := time.Now()
-			blob, err := src.NextBlob()
-			if err == io.EOF {
-				loadNS.Add(int64(time.Since(t0)))
-				return
-			}
-			if err != nil {
-				loadNS.Add(int64(time.Since(t0)))
-				feedErr = err
-				return
-			}
-			pb := acquireBlobBuf(len(blob))
-			copy(*pb, blob)
-			loadNS.Add(int64(time.Since(t0)))
-			select {
-			case blobc <- pb:
-				sent++
-			case <-done:
-				releaseBlobBuf(pb)
-				return
-			}
-		}
-	}()
-	go func() {
-		dwg.Wait()
-		close(lpc)
-	}()
-	go func() {
-		<-simDone
-		close(outs)
-	}()
-
-	firstErr := collectOuts(outs, res, online, opts.RelErr, func() { close(done) })
-	res.LoadTime = time.Duration(loadNS.Load())
-	res.SimTime = time.Duration(simNS.Load())
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	res.Est = *online.Estimate()
-	res.History = online.History()
-	return res, nil
-}
-
-// runSharded is runParallel for whole-library passes over sharded
-// sources: instead of one feeder goroutine decompressing a shared stream,
-// decode workers claim whole shards and decompress them concurrently, so
-// load bandwidth scales with Parallel. Decoded points flow through the
-// same bounded decode-ahead channel into the simulation stage; no blob
-// copy is needed here because each decode worker calls DecodeInto before
-// its next NextBlob on the same shard stream. Every point is processed —
-// RunSource routes truncated runs (stopping rule or point cap) through
-// runParallel, because a shard-major prefix of physically consecutive
-// points is not an unbiased sample.
-func runSharded(ss ShardedSource, opts RunOpts) (*RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(opts.Z, opts.RelErr, opts.RecordHistory)
-
-	var loadNS, simNS atomic.Int64
-
-	shardc := make(chan int)
-	lpc := make(chan *LivePoint, decodeAhead(opts.Parallel))
-	outs := make(chan simOut, opts.Parallel)
-
-	// Decode stage at full sim width: shards are independent streams, so
-	// decompression bandwidth scales until the sim stage is the bottleneck.
-	var dwg sync.WaitGroup
-	for w := 0; w < opts.Parallel; w++ {
-		dwg.Add(1)
-		go func() {
-			defer dwg.Done()
-			for s := range shardc {
-				t0 := time.Now()
-				sub, err := ss.OpenShard(s)
-				loadNS.Add(int64(time.Since(t0)))
-				if err != nil {
-					// Report the failure but keep ranging over shardc:
-					// returning here would strand the feeder blocked on
-					// its next send forever (goroutine leak). The feeder
-					// stops on its own once collectOuts fires stop.
-					outs <- simOut{err: err}
-					continue
-				}
-				for {
-					t0 := time.Now()
-					blob, err := sub.NextBlob()
-					if err == io.EOF {
-						loadNS.Add(int64(time.Since(t0)))
-						break
-					}
-					if err != nil {
-						loadNS.Add(int64(time.Since(t0)))
-						outs <- simOut{err: err}
-						break
-					}
-					lp := acquireLivePoint()
-					derr := DecodeInto(lp, blob)
-					mDecodedBytes.Add(uint64(len(blob)))
-					loadNS.Add(int64(time.Since(t0)))
-					if derr != nil {
-						releaseLivePoint(lp)
-						outs <- simOut{err: derr}
-						continue
-					}
-					lpc <- lp
-					mDecodeAheadDepth.Set(float64(len(lpc)))
-				}
-				sub.Close()
-			}
-		}()
-	}
-	simDone := simWorkers(lpc, outs, opts.Parallel, opts.Cfg, &simNS)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(shardc)
-		for s := 0; s < ss.NumShards(); s++ {
-			select {
-			case shardc <- s:
-			case <-done:
-				return
-			}
-		}
-	}()
-	go func() {
-		dwg.Wait()
-		close(lpc)
-	}()
-	go func() {
-		<-simDone
-		close(outs)
-	}()
-
-	firstErr := collectOuts(outs, res, online, 0, func() { close(done) })
-	res.LoadTime = time.Duration(loadNS.Load())
-	res.SimTime = time.Duration(simNS.Load())
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res.Est = *online.Estimate()
-	res.History = online.History()
-	return res, nil
-}
-
-// SimBlobs simulates each encoded live-point under cfg and returns the
+// SimBlobs simulates each encoded live-point under base and returns the
 // per-point CPIs in input order, plus a RunResult aggregating timings and
-// wrong-path counters. This is the worker-side kernel of a cluster lease:
-// a remote worker fetches a lease's blobs, runs SimBlobs, and posts the
-// CPIs back to the coordinator for folding.
-func SimBlobs(blobs [][]byte, cfg uarch.Config) ([]float64, *RunResult, error) {
-	res := &RunResult{}
-	online := sampling.NewOnline(sampling.Z997, 0, false)
-	cpis := make([]float64, 0, len(blobs))
-	var lp LivePoint
-	var arena SimArena
-	for _, blob := range blobs {
-		t0 := time.Now()
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		wr, err := arena.Simulate(&lp, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("livepoint: point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-		res.fold(wr, online)
-		cpis = append(cpis, wr.UnitCPI)
-	}
-	res.Est = *online.Estimate()
-	return cpis, res, nil
-}
-
-// SimBlobsMatched is SimBlobs for matched-pair runs: every point is
-// simulated under both configurations and the paired CPIs are returned in
-// input order, plus a RunResult aggregating decode/simulation timings and
-// the baseline configuration's wrong-path counters — the same telemetry
-// the absolute path reports, so cluster workers post identical timing
-// fields in either mode.
-func SimBlobsMatched(blobs [][]byte, base, exp uarch.Config) (baseCPIs, expCPIs []float64, res *RunResult, err error) {
+// the base configuration's wrong-path counters. When exp is non-nil every
+// point is also simulated under *exp (a matched pair, §6.2) and expCPIs
+// holds the paired CPIs; otherwise expCPIs is nil. This is the
+// worker-side kernel of a cluster lease: a remote worker fetches a lease's
+// blobs, runs SimBlobs, and posts the CPIs back to the coordinator for
+// folding.
+func SimBlobs(blobs [][]byte, base uarch.Config, exp *uarch.Config) (baseCPIs, expCPIs []float64, res *RunResult, err error) {
 	res = &RunResult{}
 	online := sampling.NewOnline(sampling.Z997, 0, false)
 	baseCPIs = make([]float64, 0, len(blobs))
-	expCPIs = make([]float64, 0, len(blobs))
-	var lp LivePoint
-	// One arena per configuration, so neither thrashes its structures
-	// reconfiguring between the two geometries every point.
-	var baseArena, expArena SimArena
-	for _, blob := range blobs {
-		t0 := time.Now()
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, nil, nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		b, err := baseArena.Simulate(&lp, base)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("livepoint: base config, point %d: %w", lp.Index, err)
-		}
-		e, err := expArena.Simulate(&lp, exp)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("livepoint: experimental config, point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-		res.fold(b, online)
-		baseCPIs = append(baseCPIs, b.UnitCPI)
-		expCPIs = append(expCPIs, e.UnitCPI)
+	if exp != nil {
+		expCPIs = make([]float64, 0, len(blobs))
+	}
+	res.LoadTime, res.SimTime, err = pipeline(NewBlobSource(Meta{}, blobs), kernel{base: base, exp: exp}, 1, 0, true,
+		func(p simulated) bool {
+			res.fold(p.base, online)
+			baseCPIs = append(baseCPIs, p.base.UnitCPI)
+			if exp != nil {
+				expCPIs = append(expCPIs, p.exp.UnitCPI)
+			}
+			return false
+		})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	res.Est = *online.Estimate()
 	return baseCPIs, expCPIs, res, nil
@@ -531,56 +181,254 @@ func RunMatchedFile(path string, opts MatchedOpts) (*MatchedResult, error) {
 	return RunMatchedSource(src, opts)
 }
 
-// RunMatchedSource is RunMatchedFile over any live-point source.
+// RunMatchedSource is RunMatchedFile over any live-point source. Points
+// are processed serially in read order.
 func RunMatchedSource(src Source, opts MatchedOpts) (*MatchedResult, error) {
 	if opts.RelErr > 0 && !src.Meta().Shuffled {
-		return nil, fmt.Errorf("livepoint: early stopping requires a shuffled library (ShuffleFile for v1 files, lpstore.Shuffle for v2 stores)")
+		return nil, errUnshuffled
 	}
-
 	res := &MatchedResult{}
-	var lp LivePoint
-	var baseArena, expArena SimArena
-	for {
-		if opts.MaxPoints > 0 && res.Processed >= opts.MaxPoints {
-			break
-		}
-		t0 := time.Now()
-		blob, err := src.NextBlob()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := DecodeInto(&lp, blob); err != nil {
-			return nil, err
-		}
-		mDecodedBytes.Add(uint64(len(blob)))
-		res.LoadTime += time.Since(t0)
-
-		t0 = time.Now()
-		base, err := baseArena.Simulate(&lp, opts.Base)
-		if err != nil {
-			return nil, fmt.Errorf("livepoint: base config, point %d: %w", lp.Index, err)
-		}
-		exp, err := expArena.Simulate(&lp, opts.Exp)
-		if err != nil {
-			return nil, fmt.Errorf("livepoint: experimental config, point %d: %w", lp.Index, err)
-		}
-		res.SimTime += time.Since(t0)
-		res.MP.Add(base.UnitCPI, exp.UnitCPI)
-		res.Processed++
-
-		// The no-impact screen is checked first: a delta confidently
-		// within ±threshold is the §6.2 fast exit, even when the interval
-		// is also narrow enough to satisfy the precision target.
-		if opts.NoImpactThreshold > 0 && res.MP.NoImpact(opts.Z, opts.NoImpactThreshold) {
-			res.StoppedNoImpact = true
-			break
-		}
-		if opts.RelErr > 0 && res.MP.DeltaSatisfied(opts.Z, opts.RelErr) {
-			break
-		}
+	var err error
+	res.LoadTime, res.SimTime, err = pipeline(src, kernel{base: opts.Base, exp: &opts.Exp}, 1, opts.MaxPoints, false,
+		func(p simulated) bool {
+			res.MP.Add(p.base.UnitCPI, p.exp.UnitCPI)
+			res.Processed++
+			// The no-impact screen is checked first: a delta confidently
+			// within ±threshold is the §6.2 fast exit, even when the
+			// interval is also narrow enough to satisfy the precision
+			// target.
+			if opts.NoImpactThreshold > 0 && res.MP.NoImpact(opts.Z, opts.NoImpactThreshold) {
+				res.StoppedNoImpact = true
+				return true
+			}
+			return opts.RelErr > 0 && res.MP.DeltaSatisfied(opts.Z, opts.RelErr)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// kernel simulates one decoded point: under base, or, when exp is set,
+// under the matched pair (base, *exp).
+type kernel struct {
+	base uarch.Config
+	exp  *uarch.Config
+}
+
+// simulated is one point's outcome under a kernel.
+type simulated struct {
+	base, exp warm.WindowResult
+	err       error
+}
+
+// simulator is one worker's kernel state: an arena per configuration, so
+// a matched pair never reconfigures one arena between two geometries on
+// every point.
+type simulator struct {
+	kernel
+	baseArena, expArena SimArena
+}
+
+func (s *simulator) run(lp *LivePoint) simulated {
+	var p simulated
+	if p.base, p.err = s.baseArena.Simulate(lp, s.base); p.err != nil {
+		if s.exp == nil {
+			p.err = fmt.Errorf("livepoint: point %d: %w", lp.Index, p.err)
+		} else {
+			p.err = fmt.Errorf("livepoint: base config, point %d: %w", lp.Index, p.err)
+		}
+		return p
+	}
+	if s.exp != nil {
+		if p.exp, p.err = s.expArena.Simulate(lp, *s.exp); p.err != nil {
+			p.err = fmt.Errorf("livepoint: experimental config, point %d: %w", lp.Index, p.err)
+		}
+	}
+	return p
+}
+
+// collector folds simulated points and owns fail-fast. The first error,
+// or the first fold that reports the stopping rule met, calls halt once;
+// points simulated before the streams notice are still folded, in
+// completion order. err is the first error seen.
+type collector struct {
+	fold   func(simulated) bool
+	halt   func()
+	halted bool
+	err    error
+}
+
+func (c *collector) add(p simulated) {
+	if p.err != nil {
+		if c.err == nil {
+			c.err = p.err
+		}
+		c.stop()
+		return
+	}
+	if c.fold(p) {
+		c.stop()
+	}
+}
+
+func (c *collector) stop() {
+	if !c.halted {
+		c.halted = true
+		c.halt()
+	}
+}
+
+// stream reads src in order and decodes each blob into point() before the
+// next read — NextBlob's buffer is only valid until then, so no blob is
+// ever copied — handing each decoded point to emit. It stops when src is
+// drained, after maxPoints reads (maxPoints <= 0: no cap), or when emit
+// returns false. Reads, decodes and shard opens accrue to loadNS.
+func stream(src Source, maxPoints int, loadNS *atomic.Int64, point func() *LivePoint, emit func(*LivePoint) bool) error {
+	for n := 0; maxPoints <= 0 || n < maxPoints; n++ {
+		t0 := time.Now()
+		blob, err := src.NextBlob()
+		if err != nil {
+			loadNS.Add(int64(time.Since(t0)))
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		lp := point()
+		err = DecodeInto(lp, blob)
+		mDecodedBytes.Add(uint64(len(blob)))
+		loadNS.Add(int64(time.Since(t0)))
+		if err != nil {
+			return err
+		}
+		if !emit(lp) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// pipeline is the one run loop behind every entry point: read → decode →
+// simulate → fold. It returns the summed load (reads, decode) and sim
+// (detailed simulation) times and the first error.
+//
+// parallel < 2 runs one stream on the caller's goroutine and simulates
+// each point inline, in read order, so the estimate is deterministic.
+// Otherwise streams feed parallel simulation workers through a bounded
+// decode-ahead channel and points fold in completion order, which is
+// still an unbiased sample of a shuffled library (§6). Whole-library runs
+// over a ShardedSource get one stream per shard, at most parallel at a
+// time, so decompression scales with the workers; every other parallel
+// run has the single read-order stream, because a shard-major prefix of
+// physically consecutive points is not an unbiased sample.
+func pipeline(src Source, k kernel, parallel, maxPoints int, wholeLibrary bool, fold func(simulated) bool) (load, sim time.Duration, err error) {
+	var loadNS, simNS atomic.Int64
+	simulate := func(s *simulator, lp *LivePoint) simulated {
+		t0 := time.Now()
+		p := s.run(lp)
+		simNS.Add(int64(time.Since(t0)))
+		return p
+	}
+
+	if parallel < 2 {
+		// One point, decoded into and simulated in turn.
+		lp := acquireLivePoint()
+		defer releaseLivePoint(lp)
+		s := &simulator{kernel: k}
+		c := collector{fold: fold, halt: func() {}}
+		err = stream(src, maxPoints, &loadNS, func() *LivePoint { return lp }, func(lp *LivePoint) bool {
+			c.add(simulate(s, lp))
+			return !c.halted
+		})
+		if c.err != nil {
+			err = c.err
+		}
+		return time.Duration(loadNS.Load()), time.Duration(simNS.Load()), err
+	}
+
+	done := make(chan struct{})
+	halted := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+	lpc := make(chan *LivePoint, 2*parallel)
+	outs := make(chan simulated, parallel)
+	// Each decoded point is a pooled LivePoint owned by the channel until
+	// a sim worker releases it.
+	emit := func(lp *LivePoint) bool {
+		if halted() {
+			return false
+		}
+		select {
+		case lpc <- lp:
+			mDecodeAheadDepth.Set(float64(len(lpc)))
+			return true
+		case <-done:
+			return false
+		}
+	}
+
+	var streams sync.WaitGroup
+	ss, sharded := src.(ShardedSource)
+	if sharded && wholeLibrary && ss.NumShards() > 1 {
+		var next atomic.Int64
+		for w := 0; w < min(parallel, ss.NumShards()); w++ {
+			streams.Add(1)
+			go func() {
+				defer streams.Done()
+				for s := int(next.Add(1) - 1); s < ss.NumShards() && !halted(); s = int(next.Add(1) - 1) {
+					t0 := time.Now()
+					sub, err := ss.OpenShard(s)
+					loadNS.Add(int64(time.Since(t0)))
+					if err == nil {
+						err = stream(sub, 0, &loadNS, acquireLivePoint, emit)
+						sub.Close()
+					}
+					if err != nil {
+						outs <- simulated{err: err}
+						return
+					}
+				}
+			}()
+		}
+	} else {
+		streams.Add(1)
+		go func() {
+			defer streams.Done()
+			if err := stream(src, maxPoints, &loadNS, acquireLivePoint, emit); err != nil {
+				outs <- simulated{err: err}
+			}
+		}()
+	}
+
+	var sims sync.WaitGroup
+	for w := 0; w < parallel; w++ {
+		sims.Add(1)
+		go func() {
+			defer sims.Done()
+			s := &simulator{kernel: k}
+			for lp := range lpc {
+				p := simulate(s, lp)
+				releaseLivePoint(lp)
+				outs <- p
+			}
+		}()
+	}
+	go func() {
+		streams.Wait()
+		close(lpc)
+		sims.Wait()
+		close(outs)
+	}()
+
+	c := collector{fold: fold, halt: func() { close(done) }}
+	for p := range outs {
+		c.add(p)
+	}
+	return time.Duration(loadNS.Load()), time.Duration(simNS.Load()), c.err
 }

@@ -196,3 +196,44 @@ func TestParallelTimingSplit(t *testing.T) {
 		t.Fatalf("matched run lost its load/sim split: load=%v sim=%v", mres.LoadTime, mres.SimTime)
 	}
 }
+
+// fixedShards is a ShardedSource over prebuilt shard sources, so a test
+// can see how far each shard was read.
+type fixedShards struct {
+	meta   Meta
+	shards []*fakeSharded
+}
+
+func (f *fixedShards) Meta() Meta                { return f.meta }
+func (f *fixedShards) NextBlob() ([]byte, error) { return nil, io.EOF }
+func (f *fixedShards) Close() error              { return nil }
+func (f *fixedShards) NumShards() int            { return len(f.shards) }
+
+func (f *fixedShards) OpenShard(s int) (Source, error) { return f.shards[s], nil }
+
+// TestRunShardedFailFast: a whole-library sharded run must stop reading
+// every shard once one stream fails, not drain the rest of each shard to
+// report an error that has already happened.
+func TestRunShardedFailFast(t *testing.T) {
+	cfg := uarch.Config8Way()
+	_, design, points := buildTestLibrary(t, "syn.gzip", 0.01, cfg, 20, false)
+	good, _ := Encode(points[0])
+	meta := Meta{Benchmark: "syn.gzip", UnitLen: design.UnitLen, WarmLen: design.WarmLen, Shuffled: true}
+	src := &fixedShards{meta: meta}
+	for s := 0; s < 2; s++ {
+		blobs := make([][]byte, 300)
+		for i := range blobs {
+			blobs[i] = good
+		}
+		src.shards = append(src.shards, &fakeSharded{meta: meta, blobs: blobs, shards: 1})
+	}
+	src.shards[0].blobs[0] = []byte("not a live point")
+	if _, err := RunSource(src, RunOpts{Cfg: cfg, Parallel: 2}); err == nil {
+		t.Fatal("corrupt blob did not fail the run")
+	}
+	for s, sh := range src.shards {
+		if sh.pos >= len(sh.blobs)/2 {
+			t.Fatalf("shard %d: read %d of %d blobs after the first failure; fail-fast did not stop it", s, sh.pos, len(sh.blobs))
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package livepoint
 
 import (
+	"io"
 	"os"
 )
 
@@ -37,6 +38,34 @@ type ShardedSource interface {
 	// the library's read order restricted to that shard. Shard sources
 	// from the same parent are safe to drive from different goroutines.
 	OpenShard(s int) (Source, error)
+}
+
+// NewBlobSource returns a Source over already-loaded blobs, yielded in
+// order under meta: a cluster lease's fetched points, or one fetched
+// shard of a remote library.
+func NewBlobSource(meta Meta, blobs [][]byte) Source {
+	return &blobSource{meta: meta, blobs: blobs}
+}
+
+type blobSource struct {
+	meta  Meta
+	blobs [][]byte
+}
+
+func (s *blobSource) Meta() Meta { return s.meta }
+
+func (s *blobSource) NextBlob() ([]byte, error) {
+	if len(s.blobs) == 0 {
+		return nil, io.EOF
+	}
+	b := s.blobs[0]
+	s.blobs = s.blobs[1:]
+	return b, nil
+}
+
+func (s *blobSource) Close() error {
+	s.blobs = nil
+	return nil
 }
 
 // OpenerFunc inspects a library file. When it recognizes the format it

@@ -278,29 +278,28 @@ func (w *Worker) simulate(ctx context.Context, l *Lease) (*Result, error) {
 	}
 	fetch := time.Since(t0)
 
-	res := &Result{LeaseID: l.ID, Epoch: l.Epoch, Worker: w.ID}
+	var exp *uarch.Config
 	if w.matched {
-		baseCPIs, expCPIs, rr, err := livepoint.SimBlobsMatched(blobs, w.base, w.exp)
-		if err != nil {
-			return nil, err
-		}
+		exp = &w.exp
+	}
+	baseCPIs, expCPIs, rr, err := livepoint.SimBlobs(blobs, w.base, exp)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		LeaseID:        l.ID,
+		Epoch:          l.Epoch,
+		Worker:         w.ID,
+		UnknownFetches: rr.UnknownFetches,
+		UnknownLoads:   rr.UnknownLoads,
+		CaptureErrors:  rr.CaptureErrors,
+		LoadMillis:     (fetch + rr.LoadTime).Milliseconds(),
+		SimMillis:      rr.SimTime.Milliseconds(),
+	}
+	if w.matched {
 		res.BaseCPIs, res.ExpCPIs = baseCPIs, expCPIs
-		res.UnknownFetches = rr.UnknownFetches
-		res.UnknownLoads = rr.UnknownLoads
-		res.CaptureErrors = rr.CaptureErrors
-		res.LoadMillis = (fetch + rr.LoadTime).Milliseconds()
-		res.SimMillis = rr.SimTime.Milliseconds()
 	} else {
-		cpis, rr, err := livepoint.SimBlobs(blobs, w.base)
-		if err != nil {
-			return nil, err
-		}
-		res.CPIs = cpis
-		res.UnknownFetches = rr.UnknownFetches
-		res.UnknownLoads = rr.UnknownLoads
-		res.CaptureErrors = rr.CaptureErrors
-		res.LoadMillis = (fetch + rr.LoadTime).Milliseconds()
-		res.SimMillis = rr.SimTime.Milliseconds()
+		res.CPIs = baseCPIs
 	}
 	return res, nil
 }

@@ -542,30 +542,7 @@ func (s *remoteSource) OpenShard(sh int) (livepoint.Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &blobSource{meta: s.c.Meta(), blobs: blobs}, nil
-}
-
-// blobSource yields an already-fetched slice of blobs in order.
-type blobSource struct {
-	meta  livepoint.Meta
-	blobs [][]byte
-	pos   int
-}
-
-func (s *blobSource) Meta() livepoint.Meta { return s.meta }
-
-func (s *blobSource) NextBlob() ([]byte, error) {
-	if s.pos >= len(s.blobs) {
-		return nil, io.EOF
-	}
-	b := s.blobs[s.pos]
-	s.pos++
-	return b, nil
-}
-
-func (s *blobSource) Close() error {
-	s.blobs = nil
-	return nil
+	return livepoint.NewBlobSource(s.c.Meta(), blobs), nil
 }
 
 // IsStatus reports whether err wraps a *StatusError with the given code.

@@ -68,13 +68,12 @@ func TestServeParity(t *testing.T) {
 	meta, blobs := buildRealLibrary(t, "syn.gzip", 0.01, 20)
 
 	dir := t.TempDir()
-	v1raw := filepath.Join(dir, "raw.lplib")
 	v1 := filepath.Join(dir, "v1.lplib")
 	v2 := filepath.Join(dir, "v2.lplib")
-	if _, err := livepoint.WriteLibrary(v1raw, meta, blobs); err != nil {
-		t.Fatal(err)
-	}
-	if err := livepoint.ShuffleFile(v1raw, v1, 0x11E9); err != nil {
+	rng := rand.New(rand.NewSource(0x11E9))
+	rng.Shuffle(len(blobs), func(i, j int) { blobs[i], blobs[j] = blobs[j], blobs[i] })
+	meta.Shuffled = true
+	if _, err := livepoint.WriteLibrary(v1, meta, blobs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lpstore.Migrate(v1, v2, lpstore.WriteOpts{ShardPoints: 5}); err != nil {

@@ -19,7 +19,8 @@
 //
 //   - O(shard) random access to any point, O(1) to its location;
 //   - index-only shuffling: Shuffle permutes the footer and never touches
-//     point data (v1 ShuffleFile rewrites and recompresses everything);
+//     point data (a v1 stream can only be reordered by rewriting and
+//     recompressing everything);
 //   - concurrent reads: shards decompress independently, so parallel
 //     runners scale their load bandwidth with worker count;
 //   - remote serving: internal/lpserve streams stored shard bytes to
@@ -486,8 +487,6 @@ func (c *shardCache) get(s int) ([]byte, error) {
 
 // Shuffle rewrites a v2 library's read order in place, deterministically
 // from seed: only the footer index is rewritten; shard data is untouched.
-// Contrast with v1 ShuffleFile, which decompresses, permutes, and
-// recompresses the whole library.
 func Shuffle(path string, seed int64) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {

@@ -28,7 +28,6 @@
 package livepoints
 
 import (
-	"fmt"
 	"math/rand"
 
 	"livepoints/internal/bpred"
@@ -135,14 +134,13 @@ func NewDesignFor(p *Program, cfg Config, maxPoints int) (Design, error) {
 type LibraryInfo struct {
 	Path              string
 	Points            int
-	Shards            int // 0 for legacy v1 libraries
+	Shards            int
 	CompressedBytes   int64
 	UncompressedBytes int64
 }
 
-// shuffleSeed is the deterministic creation-time shuffle seed (§6.1); it
-// matches the seed the legacy ShuffleFile pipeline used, so estimates are
-// reproducible across format versions.
+// shuffleSeed is the deterministic creation-time shuffle seed (§6.1), so
+// a library's read order — and every estimate over it — is reproducible.
 const shuffleSeed = 0x11E9_0147
 
 // CreateLibrary runs the one-time creation pass for a benchmark and writes
@@ -180,33 +178,6 @@ func CreateLibraryOpts(p *Program, design Design, opts CreateOpts, path string) 
 		CompressedBytes:   info.CompressedBytes,
 		UncompressedBytes: info.UncompressedBytes,
 	}, nil
-}
-
-// CreateLibraryLegacy writes a library in the sequential single-stream v1
-// format, for compatibility experiments and migration testing. New
-// libraries should use CreateLibraryOpts.
-func CreateLibraryLegacy(p *Program, design Design, opts CreateOpts, path string) (LibraryInfo, error) {
-	blobs, err := createBlobs(p, design, opts)
-	if err != nil {
-		return LibraryInfo{}, err
-	}
-	tmp := path + ".unshuffled"
-	meta := livepoint.Meta{Benchmark: p.Name, UnitLen: design.UnitLen, WarmLen: design.WarmLen}
-	uncompressed, err := livepoint.WriteLibrary(tmp, meta, blobs)
-	if err != nil {
-		return LibraryInfo{}, err
-	}
-	if err := livepoint.ShuffleFile(tmp, path, shuffleSeed); err != nil {
-		return LibraryInfo{}, err
-	}
-	size, err := livepoint.FileSize(path)
-	if err != nil {
-		return LibraryInfo{}, err
-	}
-	if err := removeFile(tmp); err != nil {
-		return LibraryInfo{}, err
-	}
-	return LibraryInfo{Path: path, Points: len(blobs), CompressedBytes: size, UncompressedBytes: uncompressed}, nil
 }
 
 func createBlobs(p *Program, design Design, opts CreateOpts) ([][]byte, error) {
@@ -298,10 +269,3 @@ func RequiredSampleSize(cv, z, relErr float64) int {
 
 // Version identifies the reproduction.
 const Version = "livepoints-repro 1.0 (ISPASS 2006)"
-
-func removeFile(path string) error {
-	if err := osRemove(path); err != nil {
-		return fmt.Errorf("livepoints: cleaning temporary library: %w", err)
-	}
-	return nil
-}
