@@ -9,17 +9,19 @@ import (
 
 	"livepoints/internal/bpred"
 	"livepoints/internal/livepoint"
+	"livepoints/internal/lpstore"
 	"livepoints/internal/mrrl"
 	"livepoints/internal/sampling"
 	"livepoints/internal/uarch"
 	"livepoints/internal/warm"
 )
 
-// gzipLen is b's size after gzip compression: the on-disk cost of one
-// checkpoint in the paper's size comparisons (Figures 7 and 8).
+// gzipLen is b's size after gzip compression at the library's level: the
+// on-disk cost of one checkpoint in the paper's size comparisons (Figures
+// 7 and 8).
 func gzipLen(b []byte) int {
 	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
+	gz, _ := gzip.NewWriterLevel(&buf, lpstore.CompressionLevel) // a valid level: no error
 	gz.Write(b)
 	gz.Close()
 	return buf.Len()

@@ -1,10 +1,14 @@
 package harness
 
 import (
+	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"livepoints/internal/bpred"
+	"livepoints/internal/livepoint"
+	"livepoints/internal/lpstore"
 	"livepoints/internal/uarch"
 )
 
@@ -194,6 +198,30 @@ func TestDesignChangesAreValid(t *testing.T) {
 			ch.Cfg.Hier.L1D.SizeBytes > base.Hier.L1D.SizeBytes ||
 			ch.Cfg.BP != base.BP {
 			t.Errorf("%s: exceeds library maxima", ch.Name)
+		}
+	}
+}
+
+// TestGzipLenIsStoredSize pins that the Figure 7/8 "gzip" sizes are what
+// a library stores: a one-point shard compresses to exactly gzipLen.
+func TestGzipLenIsStoredSize(t *testing.T) {
+	blobs := [][]byte{bytes.Repeat([]byte("live-point set records "), 400), []byte("x")}
+	path := filepath.Join(t.TempDir(), "one.lplib")
+	if _, err := lpstore.Write(path, livepoint.Meta{Benchmark: "b"}, blobs, lpstore.WriteOpts{ShardPoints: 1}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := lpstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i, blob := range blobs {
+		_, compLen, _, err := st.ShardStat(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := gzipLen(blob); int64(got) != compLen {
+			t.Errorf("blob %d: gzipLen %d, stored shard %d bytes", i, got, compLen)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package livepoint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"livepoints/internal/asn1der"
@@ -307,23 +308,44 @@ func packMem(t *MemTable) []byte {
 	return out
 }
 
+// encodeSetRecord writes the captured geometry (name, size, associativity,
+// line size, hit latency), an INTEGER entry count, and one OCTET STRING of
+// three parts: each Block as a uvarint delta from the previous entry's
+// (mod 2^64, so any order round-trips; Capture sorts by Block, so deltas
+// are short), each Last as an absolute uvarint, and a dirty bitmap, LSB
+// first, with zero padding. Records written before this layout hold a
+// fixed 17 bytes per entry directly after the geometry; decodeSetRecordInto
+// tells the two apart by the tag after the hit latency.
 func encodeSetRecord(b *asn1der.Builder, sr *csr.SetRecord) {
 	b.UTF8String(sr.Cfg.Name)
 	b.Uint64(uint64(sr.Cfg.SizeBytes))
 	b.Uint64(uint64(sr.Cfg.Assoc))
 	b.Uint64(uint64(sr.Cfg.LineBytes))
 	b.Uint64(uint64(sr.Cfg.HitLat))
-	payload := make([]byte, 17*len(sr.Entries))
+	n := len(sr.Entries)
+	b.Uint64(uint64(n))
+	payload := make([]byte, 0, 4*n+(n+7)/8) // typically a 1-byte delta and a 3-byte timestamp
+	var prev uint64
+	for _, e := range sr.Entries {
+		payload = binary.AppendUvarint(payload, e.Block-prev)
+		prev = e.Block
+	}
+	for _, e := range sr.Entries {
+		payload = binary.AppendUvarint(payload, e.Last)
+	}
+	bitmap := len(payload)
+	payload = append(payload, make([]byte, (n+7)/8)...)
 	for i, e := range sr.Entries {
-		binary.LittleEndian.PutUint64(payload[i*17:], e.Block)
-		binary.LittleEndian.PutUint64(payload[i*17+8:], e.Last)
 		if e.Dirty {
-			payload[i*17+16] = 1
+			payload[bitmap+i>>3] |= 1 << (i & 7)
 		}
 	}
 	b.OctetString(payload)
 }
 
+// decodeSetRecordInto reads a record in either layout into sr, reusing its
+// entry storage. The 17-byte layout is read-only; it keeps libraries
+// written before the compact one readable without a migration step.
 func decodeSetRecordInto(sr *csr.SetRecord, d *asn1der.Decoder) error {
 	name, err := d.UTF8Bytes()
 	if err != nil {
@@ -340,6 +362,100 @@ func decodeSetRecordInto(sr *csr.SetRecord, d *asn1der.Decoder) error {
 	sr.Cfg.Assoc = int(vals[1])
 	sr.Cfg.LineBytes = int64(vals[2])
 	sr.Cfg.HitLat = int(vals[3])
+	tag, err := d.PeekTag()
+	if err != nil {
+		return err
+	}
+	if tag == asn1der.TagOctetString {
+		err = decodeLegacyEntries(sr, d)
+	} else {
+		err = decodeCompactEntries(sr, d)
+	}
+	if err != nil {
+		return err
+	}
+	if d.More() {
+		return errors.New("livepoint: trailing data after set record")
+	}
+	return nil
+}
+
+// decodeCompactEntries reads the count and payload of the compact layout.
+// Everything it accepts re-encodes to the same bytes: varints must be
+// minimal, the bitmap's padding bits zero, and nothing may trail it.
+func decodeCompactEntries(sr *csr.SetRecord, d *asn1der.Decoder) error {
+	count, err := d.Uint64()
+	if err != nil {
+		return err
+	}
+	payload, err := d.OctetString()
+	if err != nil {
+		return err
+	}
+	// Each entry takes at least two varint bytes, which bounds the count
+	// by the payload before anything is allocated.
+	if count > uint64(len(payload)/2) {
+		return fmt.Errorf("livepoint: set record claims %d entries in %d payload bytes", count, len(payload))
+	}
+	n := int(count)
+	es := resizeEntries(sr.Entries, n)
+	sr.Entries = es
+	nb := (n + 7) / 8
+	cols, bitmap := payload[:len(payload)-nb], payload[len(payload)-nb:]
+	// The varints are decoded inline where they are short: Block deltas
+	// are nearly all one byte, timestamps two or three (a predictable
+	// branch is far cheaper than a call per value).
+	off := 0
+	var block uint64
+	for i := range es {
+		v, k := shortUvarint(cols, off)
+		if k == 0 {
+			if v, k, err = uvarint(cols, off); err != nil {
+				return err
+			}
+		}
+		off += k
+		block += v
+		es[i].Block = block
+	}
+	for i := range es {
+		var v uint64
+		k := 0
+		if off+2 < len(cols) {
+			c0, c1, c2 := cols[off], cols[off+1], cols[off+2]
+			switch {
+			case c0 < 0x80:
+				v, k = uint64(c0), 1
+			case c1 < 0x80:
+				if c1 != 0 {
+					v, k = uint64(c0&0x7F)|uint64(c1)<<7, 2
+				}
+			case c2 < 0x80:
+				if c2 != 0 {
+					v, k = uint64(c0&0x7F)|uint64(c1&0x7F)<<7|uint64(c2)<<14, 3
+				}
+			}
+		}
+		if k == 0 {
+			if v, k, err = uvarint(cols, off); err != nil {
+				return err
+			}
+		}
+		off += k
+		es[i].Last = v
+		es[i].Dirty = bitmap[i>>3]>>(i&7)&1 != 0
+	}
+	if off != len(cols) {
+		return fmt.Errorf("livepoint: set record has %d stray bytes before its dirty bitmap", len(cols)-off)
+	}
+	if n&7 != 0 && bitmap[n>>3]>>(n&7) != 0 {
+		return errors.New("livepoint: set record dirty bitmap has padding bits set")
+	}
+	return nil
+}
+
+// decodeLegacyEntries reads the fixed 17-byte-per-entry payload.
+func decodeLegacyEntries(sr *csr.SetRecord, d *asn1der.Decoder) error {
 	payload, err := d.OctetString()
 	if err != nil {
 		return err
@@ -347,20 +463,74 @@ func decodeSetRecordInto(sr *csr.SetRecord, d *asn1der.Decoder) error {
 	if len(payload)%17 != 0 {
 		return fmt.Errorf("livepoint: set record payload %d not a multiple of 17", len(payload))
 	}
-	n := len(payload) / 17
-	if cap(sr.Entries) < n {
-		sr.Entries = make([]csr.Entry, n)
-	} else {
-		sr.Entries = sr.Entries[:n]
-	}
+	sr.Entries = resizeEntries(sr.Entries, len(payload)/17)
 	for i := range sr.Entries {
+		e := payload[i*17 : i*17+17]
+		if e[16] > 1 {
+			return fmt.Errorf("livepoint: set record entry %d has dirty byte %d, want 0 or 1", i, e[16])
+		}
 		sr.Entries[i] = csr.Entry{
-			Block: binary.LittleEndian.Uint64(payload[i*17:]),
-			Last:  binary.LittleEndian.Uint64(payload[i*17+8:]),
-			Dirty: payload[i*17+16] == 1,
+			Block: binary.LittleEndian.Uint64(e),
+			Last:  binary.LittleEndian.Uint64(e[8:]),
+			Dirty: e[16] == 1,
 		}
 	}
 	return nil
+}
+
+// resizeEntries returns es resized to n, reusing its backing array when
+// it is large enough.
+func resizeEntries(es []csr.Entry, n int) []csr.Entry {
+	if cap(es) < n {
+		return make([]csr.Entry, n)
+	}
+	return es[:n]
+}
+
+var (
+	errVarintTruncated  = errors.New("livepoint: truncated varint in set record")
+	errVarintOverflow   = errors.New("livepoint: varint in set record overflows 64 bits")
+	errVarintNonMinimal = errors.New("livepoint: non-minimal varint in set record")
+)
+
+// shortUvarint decodes a minimal one- or two-byte uvarint at b[off:],
+// returning the value and its length; a zero length sends the caller to
+// uvarint. It is small enough to inline.
+func shortUvarint(b []byte, off int) (uint64, int) {
+	if uint(off+1) < uint(len(b)) {
+		c0, c1 := b[off], b[off+1]
+		if c0 < 0x80 {
+			return uint64(c0), 1
+		}
+		if c1-1 < 0x7F { // a last group of 0 would be non-minimal
+			return uint64(c0&0x7F) | uint64(c1)<<7, 2
+		}
+	}
+	return 0, 0
+}
+
+// uvarint decodes the uvarint at b[off:] and returns it with its length.
+// It rejects everything that would not re-encode to the same bytes:
+// truncation, values past 64 bits, and a redundant final zero group.
+func uvarint(b []byte, off int) (uint64, int, error) {
+	var v uint64
+	for i, shift := off, uint(0); i < len(b); i, shift = i+1, shift+7 {
+		c := b[i]
+		if c < 0x80 {
+			if c == 0 && shift > 0 {
+				return 0, 0, errVarintNonMinimal
+			}
+			if shift == 63 && c > 1 {
+				return 0, 0, errVarintOverflow
+			}
+			return v | uint64(c)<<shift, i + 1 - off, nil
+		}
+		if shift == 63 {
+			return 0, 0, errVarintOverflow
+		}
+		v |= uint64(c&0x7F) << shift
+	}
+	return 0, 0, errVarintTruncated
 }
 
 func encodePredConfig(b *asn1der.Builder, cfg bpred.Config) {
