@@ -10,6 +10,8 @@
 package livepoints_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
 	"io"
@@ -474,6 +476,71 @@ func BenchmarkStoreShuffle(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := lpstore.Shuffle(dst, int64(i)); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkStoreInflate compares the two ways to inflate a v2 shard that
+// is already in memory: lpstore.Gunzip straight into a caller-sized
+// buffer, and compress/gzip (a pooled reader reset per shard, read to
+// EOF so the trailer is checked). The shards hold real syn.gzip
+// live-points; bytes/s counts inflated bytes.
+func BenchmarkStoreInflate(b *testing.B) {
+	blobs := decodeBenchBlobs(b)
+	path := filepath.Join(b.TempDir(), "inflate.lplib")
+	meta := livepoint.Meta{Benchmark: "syn.gzip", Shuffled: true}
+	if _, err := lpstore.Write(path, meta, blobs, lpstore.WriteOpts{ShardPoints: 8}); err != nil {
+		b.Fatal(err)
+	}
+	st, err := lpstore.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	var raws, dsts [][]byte
+	var total int64
+	for s := 0; s < st.NumShards(); s++ {
+		r, n, err := st.ShardRaw(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw := make([]byte, n)
+		if _, err := io.ReadFull(r, raw); err != nil {
+			b.Fatal(err)
+		}
+		_, _, uncomp, _ := st.ShardStat(s)
+		raws, dsts = append(raws, raw), append(dsts, make([]byte, uncomp))
+		total += uncomp
+	}
+	b.Run("gunzip", func(b *testing.B) {
+		b.SetBytes(total)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for s, raw := range raws {
+				if err := lpstore.Gunzip(dsts[s], raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("compress-gzip", func(b *testing.B) {
+		b.SetBytes(total)
+		b.ReportAllocs()
+		var zr gzip.Reader
+		var br bytes.Reader
+		for i := 0; i < b.N; i++ {
+			for s, raw := range raws {
+				br.Reset(raw)
+				if err := zr.Reset(&br); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(&zr, dsts[s]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.Copy(io.Discard, &zr); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

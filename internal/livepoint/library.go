@@ -129,7 +129,7 @@ type Reader struct {
 
 // NewReader reads the header and returns a streaming reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	gz, err := AcquireGzipReader(r)
+	gz, err := acquireGzipReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("livepoint: open library: %w", err)
 	}
@@ -137,13 +137,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	hdr, err := ReadElement(br)
 	if err != nil {
 		releaseBufReader(br)
-		ReleaseGzipReader(gz)
+		releaseGzipReader(gz)
 		return nil, fmt.Errorf("livepoint: read header: %w", err)
 	}
 	meta, err := decodeMeta(hdr)
 	if err != nil {
 		releaseBufReader(br)
-		ReleaseGzipReader(gz)
+		releaseGzipReader(gz)
 		return nil, err
 	}
 	return &Reader{gz: gz, br: br, Meta: meta}, nil
@@ -180,7 +180,7 @@ func (r *Reader) Close() error {
 		}
 	}
 	releaseBufReader(r.br)
-	ReleaseGzipReader(r.gz)
+	releaseGzipReader(r.gz)
 	r.gz, r.br, r.buf = nil, nil, nil
 	return err
 }

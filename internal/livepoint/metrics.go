@@ -6,7 +6,8 @@ import "livepoints/internal/obs"
 // renders obs.Default). The pool series make allocation regressions
 // visible in production: a healthy steady-state stream shows hits
 // dwarfing misses; a miss rate that tracks the point rate means pooling
-// has silently stopped working.
+// has silently stopped working. The gzip pool serves v1 streams only, so
+// its series stay at zero on runs over v2 libraries.
 var (
 	mGzipPoolHits    = obs.Default.Counter("livepoint_pool_hits_total", "Pooled load-path object reuses by pool.", "pool", "gzip")
 	mGzipPoolMisses  = obs.Default.Counter("livepoint_pool_misses_total", "Pooled load-path object allocations by pool.", "pool", "gzip")

@@ -12,11 +12,13 @@ import (
 // and decode work, not allocator and GC work; everything here exists to
 // keep the steady-state per-point heap traffic at zero.
 
+// gzipReaders serves the v1 streaming reader only; v2 shards inflate
+// through lpstore.Gunzip, which pools its own decoders.
 var gzipReaders sync.Pool
 
-// AcquireGzipReader returns a decompressor reset over r, reusing a pooled
-// gzip.Reader when one is available. Pair with ReleaseGzipReader.
-func AcquireGzipReader(r io.Reader) (*gzip.Reader, error) {
+// acquireGzipReader returns a decompressor reset over r, reusing a pooled
+// gzip.Reader when one is available. Pair with releaseGzipReader.
+func acquireGzipReader(r io.Reader) (*gzip.Reader, error) {
 	var gz *gzip.Reader
 	if v := gzipReaders.Get(); v != nil {
 		mGzipPoolHits.Inc()
@@ -32,9 +34,9 @@ func AcquireGzipReader(r io.Reader) (*gzip.Reader, error) {
 	return gz, nil
 }
 
-// ReleaseGzipReader returns gz to the pool. The caller must not touch gz
+// releaseGzipReader returns gz to the pool. The caller must not touch gz
 // afterwards. Releasing mid-stream is fine: Reset discards any state.
-func ReleaseGzipReader(gz *gzip.Reader) {
+func releaseGzipReader(gz *gzip.Reader) {
 	if gz != nil {
 		gzipReaders.Put(gz)
 	}

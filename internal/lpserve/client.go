@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"livepoints/internal/livepoint"
@@ -101,6 +103,8 @@ type Client struct {
 	hc   *http.Client
 	stat lpstore.Stat
 	ctx  context.Context // base context for Source operations
+	// limit is the /v1/stat that bounds shard downloads (see limits).
+	limit atomic.Pointer[lpstore.Stat]
 
 	// BatchPoints is the number of points per ranged /v1/points request
 	// (default DefaultBatchPoints).
@@ -143,7 +147,12 @@ func DialContext(ctx context.Context, baseURL string) (*Client, error) {
 
 // Refresh re-fetches and caches the server's /v1/stat.
 func (c *Client) Refresh(ctx context.Context) error {
-	return c.getJSON(ctx, "/v1/stat", &c.stat)
+	if err := c.getJSON(ctx, "/v1/stat", &c.stat); err != nil {
+		return err
+	}
+	st := c.stat
+	c.limit.Store(&st)
+	return nil
 }
 
 // Stat returns the served library's metadata.
@@ -465,35 +474,83 @@ func (c *Client) ShardBlobs(ctx context.Context, sh int) ([][]byte, error) {
 	}
 }
 
-// shardBlobsOnce is one attempt at a whole-shard fetch.
+// shardBlobsOnce is one attempt at a whole-shard fetch. The inflated
+// size comes from the shard's index, bounded by the library totals in
+// /v1/stat; the gzip trailer's ISIZE must agree with it before anything
+// is allocated for the inflated bytes.
 func (c *Client) shardBlobsOnce(ctx context.Context, sh int) ([][]byte, error) {
+	lim, err := c.limits(ctx)
+	if err != nil {
+		return nil, err
+	}
 	var spans []lpstore.Span
 	if err := c.getJSON(ctx, fmt.Sprintf("/v1/shards/%d/index", sh), &spans); err != nil {
 		return nil, err
+	}
+	var size int64
+	for _, sp := range spans {
+		if sp.Off < 0 || sp.Len < 0 || sp.Off > lim.UncompressedBytes-int64(sp.Len) {
+			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
+				Err: fmt.Errorf("span [%d,%d) exceeds the library's %d uncompressed bytes", sp.Off, sp.Off+int64(sp.Len), lim.UncompressedBytes)})
+		}
+		size = max(size, sp.Off+int64(sp.Len))
 	}
 	resp, err := c.get(ctx, fmt.Sprintf("/v1/shards/%d", sh))
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	gz, err := livepoint.AcquireGzipReader(resp.Body)
+	body, err := readBounded(resp, lim.CompressedBytes)
 	if err != nil {
-		return nil, fmt.Errorf("lpserve: shard %d: %w", sh, err)
+		return nil, fmt.Errorf("lpserve: shard %d: reading body: %w", sh, err)
 	}
-	defer livepoint.ReleaseGzipReader(gz)
-	data, err := io.ReadAll(gz)
-	if err != nil {
+	if len(body) >= 4 {
+		if isize := binary.LittleEndian.Uint32(body[len(body)-4:]); isize != uint32(size) {
+			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
+				Err: fmt.Errorf("gzip trailer claims %d bytes, shard index spans %d", isize, size)})
+		}
+	}
+	data := make([]byte, size)
+	if err := lpstore.Gunzip(data, body); err != nil {
 		return nil, fmt.Errorf("lpserve: shard %d: inflating: %w", sh, err)
 	}
 	blobs := make([][]byte, len(spans))
 	for i, sp := range spans {
-		if sp.Off < 0 || sp.Off+int64(sp.Len) > int64(len(data)) {
-			return nil, fmt.Errorf("lpserve: shard %d: %w", sh, &ProtocolError{
-				Err: fmt.Errorf("span [%d,%d) exceeds shard length %d", sp.Off, sp.Off+int64(sp.Len), len(data))})
-		}
 		blobs[i] = data[sp.Off : sp.Off+int64(sp.Len)]
 	}
 	return blobs, nil
+}
+
+// limits returns the library totals that bound a shard download and its
+// inflated size: the /v1/stat cached by Refresh, or fetched once here for
+// clients built with New that never refreshed.
+func (c *Client) limits(ctx context.Context) (*lpstore.Stat, error) {
+	if st := c.limit.Load(); st != nil {
+		return st, nil
+	}
+	st := new(lpstore.Stat)
+	if err := c.getJSON(ctx, "/v1/stat", st); err != nil {
+		return nil, err
+	}
+	c.limit.Store(st)
+	return st, nil
+}
+
+// readBounded reads a response body of at most limit bytes, in one
+// allocation when the server declared its length.
+func readBounded(resp *http.Response, limit int64) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= limit {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(buf)) > limit {
+		err = &ProtocolError{Err: fmt.Errorf("body exceeds the library's %d compressed bytes", limit)}
+	}
+	return buf, err
 }
 
 // remoteSource streams the library sequentially through ranged batches and

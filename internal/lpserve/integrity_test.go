@@ -3,12 +3,14 @@ package lpserve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -247,5 +249,86 @@ func TestShardBlobsCorruptGzipRefetched(t *testing.T) {
 	}
 	if v := c.Metrics.Counter("lpserve_client_body_retries_total", "").Value(); v < 1 {
 		t.Fatal("shard corruption did not take the body-retry path")
+	}
+}
+
+// TestShardBlobsHostileSizes: a peer that lies about a shard's size — in
+// the gzip trailer's ISIZE, in the shard index, or with a body larger
+// than the whole library — is refetched from, and failing that rejected
+// with a ProtocolError, without the client ever allocating what the lie
+// claims: inflate buffers are sized from the index and bounded by
+// /v1/stat.
+func TestShardBlobsHostileSizes(t *testing.T) {
+	st, _ := synthStore(t, 23, 4)
+	want, err := st.DecompressShard(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := NewServerWithMetrics(st, obs.NewRegistry()).Handler()
+	// ISIZE is the inflated size mod 2^32: a 1 TiB claim reads as 0.
+	var tib uint64 = 1 << 40
+	setISIZE := func(n uint32) func([]byte) []byte {
+		return func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[len(b)-4:], n)
+			return b
+		}
+	}
+	for _, c := range []struct {
+		name, path string
+		edit       func([]byte) []byte
+	}{
+		{"trailer claims 1 TiB", "/v1/shards/1", setISIZE(uint32(tib))},
+		{"trailer claims 4 GiB", "/v1/shards/1", setISIZE(0xFFFFFFFF)},
+		{"index claims 1 TiB", "/v1/shards/1/index", func([]byte) []byte {
+			return []byte(`[{"off":0,"len":1099511627776}]`)
+		}},
+		{"body larger than the library", "/v1/shards/1", func(b []byte) []byte {
+			return append(b, make([]byte, st.CompressedBytes())...)
+		}},
+	} {
+		for _, persistent := range []bool{false, true} {
+			var hits atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != c.path || (!persistent && hits.Add(1) > 1) {
+					inner.ServeHTTP(w, r)
+					return
+				}
+				rec := httptest.NewRecorder()
+				inner.ServeHTTP(rec, r)
+				body := c.edit(rec.Body.Bytes())
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				w.Write(body)
+			}))
+			c2 := New(ts.URL)
+			c2.Retry = fastRetry
+			c2.Metrics = obs.NewRegistry()
+			if err := c2.Refresh(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			blobs, err := c2.ShardBlobs(context.Background(), 1)
+			runtime.ReadMemStats(&m1)
+			ts.Close()
+			if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 8<<20 {
+				t.Fatalf("%s: fetching a %d-byte shard allocated %d bytes", c.name, len(want), grew)
+			}
+			if !persistent {
+				if err != nil {
+					t.Fatalf("%s once: not recovered by a refetch: %v", c.name, err)
+				}
+				if got := bytes.Join(blobs, nil); len(got) != len(want) {
+					t.Fatalf("%s once: blobs cover %d bytes, want %d", c.name, len(got), len(want))
+				}
+				if v := c2.Metrics.Counter("lpserve_client_body_retries_total", "").Value(); v < 1 {
+					t.Fatalf("%s once: recovered without a refetch", c.name)
+				}
+				continue
+			}
+			var pe *ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s always: got %v, want a ProtocolError", c.name, err)
+			}
+		}
 	}
 }

@@ -55,6 +55,7 @@ const (
 	DefaultShardPoints = 64
 
 	trailerLen     = 16 // index length (8) + trailer magic (8)
+	minMemberLen   = 18 // gzip header (10) + trailer (8)
 	shardRecordLen = 28 // dataOff u64 | compLen u64 | uncompLen u64 | points u32
 	pointRecordLen = 16 // shard u32 | off u64 | len u32
 )
@@ -118,6 +119,11 @@ type Store struct {
 
 	shardOrderOnce sync.Once
 	shardOrder     [][]uint32 // per shard: physical ids in read order
+
+	// The largest shard's stored and inflated sizes: pooled buffers are
+	// grown to these, so a cold pool allocates once per store, not once
+	// per shard larger than the last.
+	maxComp, maxUncomp int64
 }
 
 // IsV2 reports whether path begins with the v2 library magic.
@@ -185,7 +191,7 @@ func openFile(f *os.File, path string) (*Store, error) {
 		return nil, fmt.Errorf("lpstore: %s: reading index: %w", path, err)
 	}
 	st := &Store{path: path, f: f}
-	if err := st.decodeIndex(idx); err != nil {
+	if err := st.decodeIndex(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("lpstore: %s: %w", path, err)
 	}
 	return st, nil
@@ -271,28 +277,52 @@ func (st *Store) ShardRaw(s int) (io.Reader, int64, error) {
 	return io.NewSectionReader(st.f, sh.dataOff, sh.compLen), sh.compLen, nil
 }
 
-// DecompressShard inflates one shard into memory and returns its
+// DecompressShard inflates one shard into a new buffer and returns its
 // uncompressed bytes (every point blob, concatenated in storage order).
 func (st *Store) DecompressShard(s int) ([]byte, error) {
-	raw, _, err := st.ShardRaw(s)
-	if err != nil {
+	if s < 0 || s >= len(st.shards) {
+		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", s, len(st.shards))
+	}
+	data := make([]byte, st.shards[s].uncompLen)
+	if err := st.inflateShard(s, data); err != nil {
 		return nil, err
 	}
-	gz, err := livepoint.AcquireGzipReader(raw)
-	if err != nil {
-		return nil, fmt.Errorf("lpstore: shard %d: %w", s, err)
-	}
-	defer livepoint.ReleaseGzipReader(gz)
-	data := make([]byte, st.shards[s].uncompLen)
-	if _, err := io.ReadFull(gz, data); err != nil {
-		return nil, fmt.Errorf("lpstore: shard %d: inflating: %w", s, err)
-	}
-	// Read to EOF so the gzip CRC trailer is actually verified: uncompLen
-	// bytes arriving intact does not prove the stream checksum matched.
-	if _, err := io.Copy(io.Discard, gz); err != nil {
-		return nil, fmt.Errorf("lpstore: shard %d: stream trailer: %w", s, err)
-	}
 	return data, nil
+}
+
+// compBufs recycles the buffers shard reads land in before inflating. A
+// buffer too small for a shard is replaced by one for the store's largest
+// shard, never dropped.
+var compBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// inflateShard reads shard s's stored bytes whole and inflates them into
+// dst, whose length must be the shard's uncompressed length.
+func (st *Store) inflateShard(s int, dst []byte) error {
+	var err error
+	if st.f == nil {
+		err = Gunzip(dst, st.mem[s])
+	} else {
+		sh := st.shards[s]
+		buf := compBufs.Get().(*[]byte)
+		if int64(cap(*buf)) < sh.compLen {
+			*buf = make([]byte, st.maxComp)
+		}
+		raw := (*buf)[:sh.compLen]
+		if _, err = st.f.ReadAt(raw, sh.dataOff); err == nil {
+			err = Gunzip(dst, raw)
+		}
+		compBufs.Put(buf)
+	}
+	if err != nil {
+		return fmt.Errorf("lpstore: shard %d: inflating: %w", s, err)
+	}
+	return nil
+}
+
+// noteShardSize records sh in the store's largest-shard sizes.
+func (st *Store) noteShardSize(sh shardInfo) {
+	st.maxComp = max(st.maxComp, sh.compLen)
+	st.maxUncomp = max(st.maxUncomp, sh.uncompLen)
 }
 
 // buildShardOrder partitions the read-order permutation by shard, once.
@@ -424,21 +454,33 @@ func (s *storeSource) OpenShard(sh int) (livepoint.Source, error) {
 	if sh < 0 || sh >= s.st.NumShards() {
 		return nil, fmt.Errorf("lpstore: shard %d out of range [0,%d)", sh, s.st.NumShards())
 	}
-	data, err := s.st.DecompressShard(sh)
-	if err != nil {
+	s.st.buildShardOrder()
+	src := shardSources.Get().(*shardSource)
+	n := s.st.shards[sh].uncompLen
+	if int64(cap(src.buf)) < n {
+		src.buf = make([]byte, s.st.maxUncomp)
+	}
+	src.buf = src.buf[:n]
+	if err := s.st.inflateShard(sh, src.buf); err != nil {
+		shardSources.Put(src)
 		return nil, err
 	}
-	s.st.buildShardOrder()
-	return &shardSource{st: s.st, data: data, ids: s.st.shardOrder[sh]}, nil
+	src.st, src.ids, src.pos = s.st, s.st.shardOrder[sh], 0
+	return src, nil
 }
 
-// shardSource yields one decompressed shard's points in read order.
+// shardSource yields one inflated shard's points in read order. Sources
+// and their buffers are pooled: Close hands both back, so a blob must not
+// be used after Close (the run pipeline decodes each blob before its next
+// read), and a closed source must not be used again.
 type shardSource struct {
-	st   *Store
-	data []byte
-	ids  []uint32
-	pos  int
+	st  *Store
+	buf []byte
+	ids []uint32
+	pos int
 }
+
+var shardSources = sync.Pool{New: func() any { return new(shardSource) }}
 
 func (s *shardSource) Meta() livepoint.Meta { return s.st.meta }
 
@@ -448,11 +490,14 @@ func (s *shardSource) NextBlob() ([]byte, error) {
 	}
 	p := s.st.points[s.ids[s.pos]]
 	s.pos++
-	return s.data[p.off : p.off+int64(p.len)], nil
+	return s.buf[p.off : p.off+int64(p.len)], nil
 }
 
 func (s *shardSource) Close() error {
-	s.data = nil
+	if s.st != nil {
+		s.st, s.ids = nil, nil
+		shardSources.Put(s)
+	}
 	return nil
 }
 
@@ -584,9 +629,9 @@ func (st *Store) encodeIndex() []byte {
 	return b.Bytes()
 }
 
-// decodeIndex parses the footer index into the store and validates its
-// internal consistency.
-func (st *Store) decodeIndex(buf []byte) error {
+// decodeIndex parses the footer index, which starts at file offset
+// idxOff, into the store and validates it.
+func (st *Store) decodeIndex(buf []byte, idxOff int64) error {
 	d, err := asn1der.NewDecoder(buf).Sequence()
 	if err != nil {
 		return fmt.Errorf("index: %w", err)
@@ -637,6 +682,7 @@ func (st *Store) decodeIndex(buf []byte) error {
 			uncompLen: int64(binary.LittleEndian.Uint64(rec[16:])),
 			points:    int(binary.LittleEndian.Uint32(rec[24:])),
 		}
+		st.noteShardSize(st.shards[i])
 	}
 
 	points, err := d.OctetString()
@@ -667,11 +713,34 @@ func (st *Store) decodeIndex(buf []byte) error {
 	for i := range st.order {
 		st.order[i] = binary.LittleEndian.Uint32(orderBytes[i*4:])
 	}
-	return st.validate()
+	return st.validate(idxOff)
 }
 
-// validate cross-checks the decoded index.
-func (st *Store) validate() error {
+// maxDeflateRatio bounds how many bytes one compressed byte can inflate
+// to: a DEFLATE match codes at most 258 bytes in at least 2 bits.
+const maxDeflateRatio = 1032
+
+// validate cross-checks the decoded index against itself and against the
+// file layout (shards lie back to back between the magic and the index
+// at idxOff), so no shard length read from disk reaches an allocation
+// unchecked.
+func (st *Store) validate(idxOff int64) error {
+	next, total := int64(len(fileMagic)), int64(0)
+	for s, sh := range st.shards {
+		switch {
+		case s == 0 && sh.dataOff < next, s > 0 && sh.dataOff != next:
+			return fmt.Errorf("shard %d at file offset %d, want %d", s, sh.dataOff, next)
+		case sh.compLen < minMemberLen || sh.compLen > idxOff-sh.dataOff:
+			return fmt.Errorf("shard %d compressed length %d outside [%d,%d]", s, sh.compLen, minMemberLen, idxOff-sh.dataOff)
+		case sh.uncompLen < 0 || sh.uncompLen > maxDeflateRatio*sh.compLen:
+			return fmt.Errorf("shard %d uncompressed length %d outside [0,%d]", s, sh.uncompLen, maxDeflateRatio*sh.compLen)
+		}
+		next = sh.dataOff + sh.compLen
+		total += sh.uncompLen
+	}
+	if total != st.uncompressed {
+		return fmt.Errorf("shards hold %d uncompressed bytes, index declares %d", total, st.uncompressed)
+	}
 	if len(st.points) != st.meta.Count {
 		return fmt.Errorf("index declares %d points, point table has %d", st.meta.Count, len(st.points))
 	}
@@ -683,7 +752,7 @@ func (st *Store) validate() error {
 		if p.shard < 0 || p.shard >= len(st.shards) {
 			return fmt.Errorf("point %d in shard %d of %d", i, p.shard, len(st.shards))
 		}
-		if p.off < 0 || p.len < 0 || p.off+int64(p.len) > st.shards[p.shard].uncompLen {
+		if p.off < 0 || p.len < 0 || p.off > st.shards[p.shard].uncompLen-int64(p.len) {
 			return fmt.Errorf("point %d span [%d,%d) exceeds shard %d length %d",
 				i, p.off, p.off+int64(p.len), p.shard, st.shards[p.shard].uncompLen)
 		}

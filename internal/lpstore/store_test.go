@@ -2,11 +2,13 @@ package lpstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"livepoints/internal/asn1der"
@@ -380,5 +382,136 @@ func TestEmptyLibrary(t *testing.T) {
 	}
 	if _, err := st.Source().NextBlob(); err != io.EOF {
 		t.Fatalf("empty source should EOF, got %v", err)
+	}
+}
+
+// TestOpenRejectsImpossibleShardTable: shard records are raw integers
+// that reach allocations and slicing, so Open must check them against
+// the file. The first case is the regression: one flipped bit made a
+// 3-point library's first shard claim 1 TiB, and Open accepted it.
+func TestOpenRejectsImpossibleShardTable(t *testing.T) {
+	path := writeTestStore(t, synthBlobs(3, 100), 1, false)
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, points := st.shards, st.points
+	st.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Locate the shard and point tables by their encoded records.
+	table := func(n, recLen int, put func(rec []byte, i int)) int {
+		enc := make([]byte, n*recLen)
+		for i := 0; i < n; i++ {
+			put(enc[i*recLen:], i)
+		}
+		at := bytes.Index(raw, enc)
+		if at < 0 || bytes.Index(raw[at+1:], enc) >= 0 {
+			t.Fatal("table not found exactly once in the file")
+		}
+		return at
+	}
+	shardAt := table(len(shards), shardRecordLen, func(rec []byte, i int) {
+		binary.LittleEndian.PutUint64(rec, uint64(shards[i].dataOff))
+		binary.LittleEndian.PutUint64(rec[8:], uint64(shards[i].compLen))
+		binary.LittleEndian.PutUint64(rec[16:], uint64(shards[i].uncompLen))
+		binary.LittleEndian.PutUint32(rec[24:], uint32(shards[i].points))
+	})
+	pointAt := table(len(points), pointRecordLen, func(rec []byte, i int) {
+		binary.LittleEndian.PutUint32(rec, uint32(points[i].shard))
+		binary.LittleEndian.PutUint64(rec[4:], uint64(points[i].off))
+		binary.LittleEndian.PutUint32(rec[12:], uint32(points[i].len))
+	})
+	field := func(b []byte, shard, off int) []byte { return b[shardAt+shard*shardRecordLen+off:] }
+	add := func(b []byte, d int64) {
+		binary.LittleEndian.PutUint64(b, uint64(int64(binary.LittleEndian.Uint64(b))+d))
+	}
+	const dataOff, compLen, uncompLen = 0, 8, 16
+
+	for _, c := range []struct {
+		name, want string
+		edit       func(b []byte)
+	}{
+		{"uncompLen byte 5 flipped", "shard 0 uncompressed length 1099511", func(b []byte) {
+			field(b, 0, uncompLen)[5] ^= 1
+		}},
+		{"first shard over the magic", "shard 0 at file offset 4", func(b []byte) {
+			add(field(b, 0, dataOff), -4)
+		}},
+		{"negative offset", "shard 0 at file offset -", func(b []byte) {
+			field(b, 0, dataOff)[7] ^= 0x80
+		}},
+		{"gap between shards", "shard 1 at file offset", func(b []byte) {
+			add(field(b, 1, dataOff), 1)
+		}},
+		{"last shard runs into the index", "shard 2 compressed length", func(b []byte) {
+			add(field(b, 2, compLen), 1)
+		}},
+		{"shorter than a gzip member", "shard 0 compressed length 17", func(b []byte) {
+			binary.LittleEndian.PutUint64(field(b, 0, compLen), 17)
+		}},
+		{"beyond DEFLATE's ratio", "shard 0 uncompressed length", func(b []byte) {
+			c := int64(binary.LittleEndian.Uint64(field(b, 0, compLen)))
+			binary.LittleEndian.PutUint64(field(b, 0, uncompLen), uint64(maxDeflateRatio*c+1))
+		}},
+		{"lengths disagree with the total", "index declares", func(b []byte) {
+			add(field(b, 0, uncompLen), -1)
+			add(field(b, 1, uncompLen), 2)
+		}},
+		{"point span wraps around", "point 0 span", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[pointAt+4:], 1<<63-1)
+		}},
+	} {
+		bad := append([]byte(nil), raw...)
+		c.edit(bad)
+		p := filepath.Join(t.TempDir(), "bad.lplib")
+		if err := os.WriteFile(p, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(p)
+		if err == nil {
+			n, comp, uncomp, _ := st.ShardStat(0)
+			st.Close()
+			t.Fatalf("%s: Open accepted it (shard 0: %d points, %d -> %d bytes)", c.name, n, comp, uncomp)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestOpenShardSteadyStateAllocs gates the pooled shard path: once the
+// pools hold buffers for the largest shard, OpenShard, a full drain and
+// Close allocate nothing.
+func TestOpenShardSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	st, err := Open(writeTestStore(t, synthBlobs(40, 2000), 8, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ss := st.Source().(livepoint.ShardedSource)
+	cycle := func() {
+		for s := 0; s < ss.NumShards(); s++ {
+			sub, err := ss.OpenShard(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := sub.NextBlob(); err == io.EOF {
+					break
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			sub.Close()
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("OpenShard+drain+Close over %d shards allocates %.1f objects in steady state, want 0", ss.NumShards(), allocs)
 	}
 }

@@ -74,6 +74,7 @@ func buildImage(meta livepoint.Meta, blobs [][]byte, opts WriteOpts) (*Store, er
 			uncompLen: off,
 			points:    end - start,
 		})
+		st.noteShardSize(st.shards[len(st.shards)-1])
 		dataOff += int64(comp.Len())
 	}
 	return st, nil
